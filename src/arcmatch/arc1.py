@@ -13,7 +13,8 @@ import numpy as np
 from .conv_sentence import (SentenceModelConfig, SentenceModelParams, encode,
                             encode_backward, init_sentence_params)
 from .errors import ConfigError
-from .mlp import MlpHead, build_head, head_backward, head_forward
+from .mlp import MlpHead, build_head, concat_pair, head_backward, head_forward
+from .tensor import sum_to_shape
 
 
 @dataclass
@@ -37,18 +38,23 @@ class Arc1Model:
     kind: str = "arc1"
 
     def score(self, sx, sy, masks=None):
+        """Score a pair, or stacks [..., L, D] of pairs with broadcasting
+        leading dimensions; each distinct sentence is encoded once."""
         vec_x, enc_x = encode(sx, self.params_x, self.config_x)
         vec_y, enc_y = encode(sy, self.params_y, self.config_y)
-        s, head_trace = head_forward(self.head, np.concatenate([vec_x, vec_y]),
-                                     masks, split=vec_x.shape[0])
+        s, head_trace = head_forward(self.head, concat_pair(vec_x, vec_y),
+                                     masks, split=vec_x.shape[-1])
         return s, Arc1Trace(vec_x=vec_x, vec_y=vec_y, enc_x=enc_x, enc_y=enc_y,
                             head=head_trace, score=s)
 
-    def backward(self, trace: Arc1Trace, upstream: float):
+    def backward(self, trace: Arc1Trace, upstream):
         wg, bg, dvec = head_backward(self.head, trace.head, upstream)
-        nx = trace.vec_x.shape[0]
-        gx, dx = encode_backward(trace.enc_x, self.params_x, self.config_x, dvec[:nx])
-        gy, dy = encode_backward(trace.enc_y, self.params_y, self.config_y, dvec[nx:])
+        # a sentence shared by several pairs gets their summed gradient
+        nx = trace.vec_x.shape[-1]
+        gx, dx = encode_backward(trace.enc_x, self.params_x, self.config_x,
+                                 sum_to_shape(dvec[..., :nx], trace.vec_x.shape))
+        gy, dy = encode_backward(trace.enc_y, self.params_y, self.config_y,
+                                 sum_to_shape(dvec[..., nx:], trace.vec_y.shape))
         grads = {}
         if self.tie_weights:
             for li, ((dwx, dbx), (dwy, dby)) in enumerate(zip(gx, gy)):

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arc1 import Arc1Model
-from .conv_sentence import _window_stack
+from .conv_sentence import _unstack_windows, _window_stack
+from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .mlp import MlpHead, build_head, head_backward, head_forward
-from .tensor import activate, activate_grad_from_output, init_uniform
+from .tensor import activate, activate_grad_from_output, init_uniform, sum_to_shape
 
 
 @dataclass
@@ -77,11 +78,11 @@ class Arc2Params:
 
 @dataclass
 class GridLayerTrace:
-    z_in: np.ndarray | None
+    seg: np.ndarray | None  # 2D-conv input windows [..., oi, oj, k*k*F_in];
+                            # None for the first layer
     pre: np.ndarray
-    gate: np.ndarray        # [ni, nj] 0/1
-    conv_out: np.ndarray    # [ni, nj, F]
-    pool_from: np.ndarray   # [oi, oj, F, 2] source coords
+    gate: np.ndarray        # [..., ni, nj] 0/1
+    conv_out: np.ndarray    # [..., ni, nj, F]
     pool_out: np.ndarray
 
 
@@ -98,14 +99,20 @@ def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
                        activation: str = "relu"):
     """First-layer convolution over all segment pairs.
 
-    Returns (grid [n, n, F], gate [n, n], pre, seg_x, seg_y) where n is the
-    number of window positions. Cell (i, j) sees x rows i..i+k1-1
-    concatenated with y rows j..j+k1-1; its gate is 0 only when that whole
-    concatenation is zero.
+    sx and sy are sentences or stacks [..., L, D] whose leading dimensions
+    broadcast. Returns (grid [..., n, n, F], gate [..., n, n], pre, seg_x,
+    seg_y) where n is the number of window positions. Cell (i, j) sees x
+    rows i..i+k1-1 concatenated with y rows j..j+k1-1; its gate is 0 only
+    when that whole concatenation is zero.
     """
-    if sx.x.shape != sy.x.shape:
-        raise ShapeError(f"sentence matrices differ: {sx.x.shape} vs {sy.x.shape}")
-    l_max, dim = sx.x.shape
+    x, y = sentence_matrix(sx), sentence_matrix(sy)
+    if x.shape[-2:] != y.shape[-2:]:
+        raise ShapeError(f"sentence matrices differ: {x.shape} vs {y.shape}")
+    try:
+        np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"sentence stacks do not broadcast: {x.shape} vs {y.shape}")
+    l_max, dim = x.shape[-2:]
     if l_max < k1:
         raise ShapeError(f"window {k1} does not fit padded length {l_max}")
     if w.shape[1] != 2 * k1 * dim or b.shape != (w.shape[0],):
@@ -113,51 +120,80 @@ def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
             f"weight {w.shape} / bias {b.shape} incompatible with window {k1} "
             f"over dim {dim} pairs"
         )
-    seg_x = _window_stack(sx.x, k1)                # [n, k1*dim]
-    seg_y = _window_stack(sy.x, k1)
+    seg_x = _window_stack(x, k1)                   # [..., n, k1*dim]
+    seg_y = _window_stack(y, k1)
     half = k1 * dim
-    px = seg_x @ w[:, :half].T                     # [n, F]
+    px = seg_x @ w[:, :half].T + b                 # [..., n, F]
     py = seg_y @ w[:, half:].T
-    pre = px[:, None, :] + py[None, :, :] + b      # [n, n, F]
-    zero_x = ~seg_x.any(axis=1)
-    zero_y = ~seg_y.any(axis=1)
-    gate = (~(zero_x[:, None] & zero_y[None, :])).astype(np.float64)
-    out = gate[:, :, None] * activate(pre, activation)
+    pre = px[..., :, None, :] + py[..., None, :, :]       # [..., n, n, F]
+    zero_x = ~seg_x.any(axis=-1)
+    zero_y = ~seg_y.any(axis=-1)
+    gate = (~(zero_x[..., :, None] & zero_y[..., None, :])).astype(np.float64)
+    out = activate(pre, activation)
+    out[gate == 0.0] = 0.0  # on this largest grid, cheaper than a product
     return out, gate, pre, seg_x, seg_y
 
 
-def maxpool2d(z: np.ndarray):
+def _pad_even(z: np.ndarray) -> np.ndarray:
+    """z with odd spatial extents zero-padded to even ones."""
+    *lead, ni, nj, f = z.shape
+    if ni % 2 == 0 and nj % 2 == 0:
+        return z
+    padded = np.zeros((*lead, ni + ni % 2, nj + nj % 2, f), dtype=z.dtype)
+    padded[..., :ni, :nj, :] = z
+    return padded
+
+
+def _upsample(pooled: np.ndarray) -> np.ndarray:
+    """Each pooled cell copied over its 2x2 block."""
+    return np.repeat(np.repeat(pooled, 2, axis=-3), 2, axis=-2)
+
+
+def _pool_winners(padded: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Mask of each block's winner: the first member, in row-major block
+    order (0,0), (0,1), (1,0), (1,1), that equals the pooled max."""
+    win = padded == _upsample(pooled)
+    *lead, ni, nj, f = win.shape
+    blocks = win.reshape(*lead, ni // 2, 2, nj // 2, 2, f)
+    seen = blocks[..., 0, :, 0, :].copy()
+    for di, dj in ((0, 1), (1, 0), (1, 1)):
+        member = blocks[..., di, :, dj, :]   # a view: clears ties in win
+        member &= ~seen
+        seen |= member
+    return win
+
+
+def maxpool2d(z: np.ndarray, sources: bool = True):
     """Max over disjoint 2x2 blocks per channel; odd extents zero-padded.
 
-    Returns (pooled [ceil(ni/2), ceil(nj/2), F], source coords
-    [oi, oj, F, 2]). Ties resolve to the first candidate in row-major
-    order of the block.
+    Returns (pooled [..., ceil(ni/2), ceil(nj/2), F], source coords
+    [..., oi, oj, F, 2]). Ties resolve to the first candidate in row-major
+    order of the block. With sources=False the coords are skipped and
+    None is returned in their place; backward derives the winners itself.
     """
-    ni, nj, f = z.shape
-    pi, pj = ni % 2, nj % 2
-    if pi or pj:
-        z = np.pad(z, ((0, pi), (0, pj), (0, 0)))
-    # candidates in row-major block order: (0,0), (0,1), (1,0), (1,1)
-    cands = np.stack([z[0::2, 0::2], z[0::2, 1::2], z[1::2, 0::2], z[1::2, 1::2]])
-    choice = np.argmax(cands, axis=0)  # first max wins
-    pooled = np.take_along_axis(cands, choice[None], axis=0)[0]
-    oi, oj = pooled.shape[:2]
-    di, dj = choice // 2, choice % 2
+    z = _pad_even(z)
+    pooled = np.maximum(np.maximum(z[..., 0::2, 0::2, :], z[..., 0::2, 1::2, :]),
+                        np.maximum(z[..., 1::2, 0::2, :], z[..., 1::2, 1::2, :]))
+    if not sources:
+        return pooled, None
+    win = _pool_winners(z, pooled)
+    di = win[..., 1::2, 0::2, :] | win[..., 1::2, 1::2, :]
+    dj = win[..., 0::2, 1::2, :] | win[..., 1::2, 1::2, :]
+    oi, oj = pooled.shape[-3:-1]
     rows = np.arange(oi)[:, None, None] * 2 + di
     cols = np.arange(oj)[None, :, None] * 2 + dj
-    coords = np.stack([rows, cols], axis=-1)
-    return pooled, coords
+    return pooled, np.stack([rows, cols], axis=-1)
 
 
 def conv2d_gated(z: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
                  activation: str = "relu"):
-    """Gated 2D convolution on k x k windows of a [ni, nj, F_in] grid.
+    """Gated 2D convolution on k x k windows of a [..., ni, nj, F_in] grid.
 
     The receptive field is flattened row-major (row offset outer, column
     offset middle, channel inner); the gate is 0 only when the whole field
     is zero. Spatial extents shrink by k - 1.
     """
-    ni, nj, f_in = z.shape
+    *lead, ni, nj, f_in = z.shape
     if ni < k or nj < k:
         raise ShapeError(f"2D window {k} does not fit grid {ni}x{nj}")
     if w.shape[1] != k * k * f_in or b.shape != (w.shape[0],):
@@ -167,12 +203,14 @@ def conv2d_gated(z: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
         )
     oi, oj = ni - k + 1, nj - k + 1
     seg = np.concatenate(
-        [z[di : di + oi, dj : dj + oj, :] for di in range(k) for dj in range(k)],
-        axis=2,
-    )                                              # [oi, oj, k*k*F_in]
-    pre = seg @ w.T + b
-    gate = seg.any(axis=2).astype(np.float64)
-    out = gate[:, :, None] * activate(pre, activation)
+        [z[..., di : di + oi, dj : dj + oj, :] for di in range(k) for dj in range(k)],
+        axis=-1,
+    )                                              # [..., oi, oj, k*k*F_in]
+    # one matrix product per item over all oi*oj locations
+    pre = (seg.reshape(*lead, oi * oj, -1) @ w.T).reshape(*lead, oi, oj, -1) + b
+    gate = seg.any(axis=-1).astype(np.float64)
+    out = activate(pre, activation)
+    out *= gate[..., None]
     return out, gate, pre, seg
 
 
@@ -184,31 +222,34 @@ class Arc2Model:
     kind: str = "arc2"
 
     def score(self, sx, sy, masks=None):
+        """Score a pair, or stacks [..., L, D] of pairs with broadcasting
+        leading dimensions; returns (score(s), trace)."""
         cfg = self.config
-        trace = Arc2Trace(seg_x=None, seg_y=None)
         out, gate, pre, seg_x, seg_y = interaction_conv1d(
             sx, sy, self.params.w1, self.params.b1, cfg.window1, cfg.activation
         )
-        trace.seg_x, trace.seg_y = seg_x, seg_y
-        pooled, coords = maxpool2d(out)
-        trace.layers.append(GridLayerTrace(z_in=None, pre=pre, gate=gate,
-                                           conv_out=out, pool_from=coords,
-                                           pool_out=pooled))
+        trace = Arc2Trace(seg_x=seg_x, seg_y=seg_y)
+        pooled, _ = maxpool2d(out, sources=False)
+        trace.layers.append(GridLayerTrace(seg=None, pre=pre, gate=gate,
+                                           conv_out=out, pool_out=pooled))
         z = pooled
         for (k, _), (w, b) in zip(cfg.twod_layers, self.params.twod):
-            out, gate, pre, _ = conv2d_gated(z, w, b, k, cfg.activation)
-            pooled, coords = maxpool2d(out)
-            trace.layers.append(GridLayerTrace(z_in=z, pre=pre, gate=gate,
-                                               conv_out=out, pool_from=coords,
-                                               pool_out=pooled))
+            out, gate, pre, seg = conv2d_gated(z, w, b, k, cfg.activation)
+            pooled, _ = maxpool2d(out, sources=False)
+            trace.layers.append(GridLayerTrace(seg=seg, pre=pre, gate=gate,
+                                               conv_out=out, pool_out=pooled))
             z = pooled
-        flat = z.reshape(-1)  # row-major: i outer, j middle, channel inner
+        # row-major: i outer, j middle, channel inner
+        flat = z.reshape(*z.shape[:-3], -1)
         s, head_trace = head_forward(self.head, flat, masks)
         trace.head = head_trace
         trace.score = s
         return s, trace
 
-    def backward(self, trace: Arc2Trace, upstream: float):
+    def backward(self, trace: Arc2Trace, upstream):
+        """Gradients of sum(upstream * score); upstream matches the score's
+        shape. Returns (parameter grads summed over pairs, dx, dy) with dx
+        and dy shaped like the sentence inputs."""
         cfg = self.config
         wg, bg, dflat = head_backward(self.head, trace.head, upstream)
         grads = {}
@@ -221,43 +262,36 @@ class Arc2Model:
             lt = trace.layers[li]
             k = cfg.twod_layers[li - 1][0]
             w, _ = self.params.twod[li - 1]
-            d_conv = _pool2d_backward(dz, lt)
-            dpre = d_conv * lt.gate[:, :, None] * activate_grad_from_output(
-                lt.conv_out, cfg.activation
-            )
-            oi, oj, f_out = dpre.shape
-            seg = np.concatenate(
-                [lt.z_in[di : di + oi, dj : dj + oj, :]
-                 for di in range(k) for dj in range(k)],
-                axis=2,
-            )
+            dpre = _pool2d_backward(dz, lt, cfg.activation)
+            oi, oj, f_out = dpre.shape[-3:]
             dpre_flat = dpre.reshape(-1, f_out)
-            grads[f"twod.{li - 1}.w"] = dpre_flat.T @ seg.reshape(-1, seg.shape[2])
+            grads[f"twod.{li - 1}.w"] = dpre_flat.T @ lt.seg.reshape(-1, lt.seg.shape[-1])
             grads[f"twod.{li - 1}.b"] = dpre_flat.sum(axis=0)
-            dseg = dpre @ w                       # [oi, oj, k*k*F_in]
-            f_in = lt.z_in.shape[2]
-            dz = np.zeros_like(lt.z_in)
+            dseg = (dpre_flat @ w).reshape(lt.seg.shape)   # [..., oi, oj, k*k*F_in]
+            z_in_shape = trace.layers[li - 1].pool_out.shape
+            f_in = z_in_shape[-1]
+            dz = np.zeros(z_in_shape, dtype=np.float64)
             for idx in range(k * k):
                 di, dj = divmod(idx, k)
-                dz[di : di + oi, dj : dj + oj, :] += dseg[
-                    :, :, idx * f_in : (idx + 1) * f_in
+                dz[..., di : di + oi, dj : dj + oj, :] += dseg[
+                    ..., idx * f_in : (idx + 1) * f_in
                 ]
 
         lt = trace.layers[0]
-        d_conv = _pool2d_backward(dz, lt)
-        dpre = d_conv * lt.gate[:, :, None] * activate_grad_from_output(
-            lt.conv_out, cfg.activation
-        )
-        gx = dpre.sum(axis=1)                      # [n, F]
-        gy = dpre.sum(axis=0)
+        dpre = _pool2d_backward(dz, lt, cfg.activation)
+        # each sentence's windows feed a whole grid row (x) or column (y);
+        # pairs that share a sentence through broadcasting add up on it
+        f_out = dpre.shape[-1]
+        gx = sum_to_shape(dpre.sum(axis=-2), trace.seg_x.shape[:-1] + (f_out,))
+        gy = sum_to_shape(dpre.sum(axis=-3), trace.seg_y.shape[:-1] + (f_out,))
         half = cfg.window1 * cfg.embed_dim
-        dw1 = np.concatenate([gx.T @ trace.seg_x, gy.T @ trace.seg_y], axis=1)
-        grads["w1"] = dw1
-        grads["b1"] = dpre.sum(axis=(0, 1))
-        dseg_x = gx @ self.params.w1[:, :half]
-        dseg_y = gy @ self.params.w1[:, half:]
-        dx = _unstack_windows(dseg_x, cfg.window1, cfg.max_len, cfg.embed_dim)
-        dy = _unstack_windows(dseg_y, cfg.window1, cfg.max_len, cfg.embed_dim)
+        seg_x, seg_y = trace.seg_x, trace.seg_y
+        grads["w1"] = np.concatenate(
+            [gx.reshape(-1, f_out).T @ seg_x.reshape(-1, half),
+             gy.reshape(-1, f_out).T @ seg_y.reshape(-1, half)], axis=1)
+        grads["b1"] = gx.reshape(-1, f_out).sum(axis=0)
+        dx = _unstack_windows(gx @ self.params.w1[:, :half], cfg.window1, cfg.max_len)
+        dy = _unstack_windows(gy @ self.params.w1[:, half:], cfg.window1, cfg.max_len)
         return grads, dx, dy
 
     def named_params(self):
@@ -272,27 +306,20 @@ class Arc2Model:
         return out
 
 
-def _pool2d_backward(dz: np.ndarray, lt: GridLayerTrace) -> np.ndarray:
-    """Scatter pooled gradients back to their argmax coordinates."""
-    d_conv = np.zeros_like(lt.conv_out)
-    oi, oj, f = dz.shape
-    ni, nj = d_conv.shape[:2]
-    rows = lt.pool_from[..., 0].reshape(-1)
-    cols = lt.pool_from[..., 1].reshape(-1)
-    chans = np.tile(np.arange(f), oi * oj)
-    vals = dz.reshape(-1)
-    keep = (rows < ni) & (cols < nj)  # synthetic pad cells get nothing
-    np.add.at(d_conv, (rows[keep], cols[keep], chans[keep]), vals[keep])
-    return d_conv
+def _pool2d_backward(dz: np.ndarray, lt: GridLayerTrace, activation: str) -> np.ndarray:
+    """Gradient w.r.t. a layer's pre-activation from the gradient w.r.t.
+    its pooled output.
 
-
-def _unstack_windows(dseg: np.ndarray, k: int, max_len: int, dim: int) -> np.ndarray:
-    """Adjoint of _window_stack: accumulate window grads onto sentence rows."""
-    dx = np.zeros((max_len, dim), dtype=np.float64)
-    n = dseg.shape[0]
-    for j in range(k):
-        dx[j : j + n] += dseg[:, j * dim : (j + 1) * dim]
-    return dx
+    Only each block's winner (as in maxpool2d) passes gradient, and the
+    winner's output is the pooled value, so the activation derivative is
+    taken at pooled resolution. Gated-off units output exactly 0, where
+    that derivative is 0. Gradients of synthetic pad cells are dropped.
+    """
+    dpool = dz * activate_grad_from_output(lt.pool_out, activation)
+    dpre = _upsample(dpool)
+    dpre *= _pool_winners(_pad_even(lt.conv_out), lt.pool_out)
+    ni, nj = lt.conv_out.shape[-3:-1]
+    return dpre[..., :ni, :nj, :]
 
 
 def build_arc2(embed_dim: int, max_len: int, rng,

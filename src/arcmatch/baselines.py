@@ -12,7 +12,9 @@ import numpy as np
 
 from .conv_sentence import (SentenceModelConfig, SentenceModelParams, encode,
                             encode_backward, init_sentence_params)
-from .mlp import MlpHead, build_head, head_backward, head_forward
+from .embeddings import sentence_matrix
+from .mlp import MlpHead, build_head, concat_pair, head_backward, head_forward
+from .tensor import sum_to_shape
 
 
 @dataclass
@@ -33,14 +35,15 @@ class WordEmbedModel:
     kind: str = "wordembed"
 
     def score(self, sx, sy, masks=None):
-        vx = sx.x.sum(axis=0)  # padding rows are zero, so they add nothing
-        vy = sy.x.sum(axis=0)
-        s, ht = head_forward(self.head, np.concatenate([vx, vy]), masks,
-                             split=vx.shape[0])
+        x, y = sentence_matrix(sx), sentence_matrix(sy)
+        vx = x.sum(axis=-2)  # padding rows are zero, so they add nothing
+        vy = y.sum(axis=-2)
+        s, ht = head_forward(self.head, concat_pair(vx, vy), masks,
+                             split=vx.shape[-1])
         return s, PairTrace(vec_x=vx, vec_y=vy, head=ht, score=s,
-                            rows=sx.x.shape[0])
+                            rows=x.shape[-2])
 
-    def backward(self, trace, upstream: float):
+    def backward(self, trace, upstream):
         wg, bg, dvec = head_backward(self.head, trace.head, upstream)
         grads = {}
         for li, (dw, db) in enumerate(zip(wg, bg)):
@@ -48,8 +51,10 @@ class WordEmbedModel:
             grads[f"head.{li}.b"] = db
         d = self.embed_dim
         # every row of the sentence matrix shares the summed gradient
-        dx = np.tile(dvec[:d], (trace.rows, 1))
-        dy = np.tile(dvec[d:], (trace.rows, 1))
+        dvx = sum_to_shape(dvec[..., :d], trace.vec_x.shape)
+        dvy = sum_to_shape(dvec[..., d:], trace.vec_y.shape)
+        dx = np.repeat(dvx[..., None, :], trace.rows, axis=-2)
+        dy = np.repeat(dvy[..., None, :], trace.rows, axis=-2)
         return grads, dx, dy
 
     def named_params(self):
@@ -66,21 +71,25 @@ class SenMlpModel:
     kind: str = "senmlp"
 
     def score(self, sx, sy, masks=None):
-        vx = sx.x.reshape(-1)
-        vy = sy.x.reshape(-1)
-        s, ht = head_forward(self.head, np.concatenate([vx, vy]), masks,
-                             split=vx.shape[0])
+        x, y = sentence_matrix(sx), sentence_matrix(sy)
+        vx = x.reshape(*x.shape[:-2], -1)
+        vy = y.reshape(*y.shape[:-2], -1)
+        s, ht = head_forward(self.head, concat_pair(vx, vy), masks,
+                             split=vx.shape[-1])
         return s, PairTrace(vec_x=vx, vec_y=vy, head=ht, score=s)
 
-    def backward(self, trace, upstream: float):
+    def backward(self, trace, upstream):
         wg, bg, dvec = head_backward(self.head, trace.head, upstream)
         grads = {}
         for li, (dw, db) in enumerate(zip(wg, bg)):
             grads[f"head.{li}.w"] = dw
             grads[f"head.{li}.b"] = db
         n = self.max_len * self.embed_dim
-        dx = dvec[:n].reshape(self.max_len, self.embed_dim)
-        dy = dvec[n:].reshape(self.max_len, self.embed_dim)
+        dx = sum_to_shape(dvec[..., :n], trace.vec_x.shape)
+        dy = sum_to_shape(dvec[..., n:], trace.vec_y.shape)
+        shape = (self.max_len, self.embed_dim)
+        dx = dx.reshape(*dx.shape[:-1], *shape)
+        dy = dy.reshape(*dy.shape[:-1], *shape)
         return grads, dx, dy
 
     def named_params(self):
@@ -103,16 +112,18 @@ class SennaModel:
     def score(self, sx, sy, masks=None):
         vec_x, enc_x = encode(sx, self.params_x, self.config_x)
         vec_y, enc_y = encode(sy, self.params_y, self.config_y)
-        s, ht = head_forward(self.head, np.concatenate([vec_x, vec_y]),
-                             masks, split=vec_x.shape[0])
+        s, ht = head_forward(self.head, concat_pair(vec_x, vec_y),
+                             masks, split=vec_x.shape[-1])
         return s, PairTrace(vec_x=vec_x, vec_y=vec_y, head=ht, score=s,
                             enc_x=enc_x, enc_y=enc_y)
 
-    def backward(self, trace, upstream: float):
+    def backward(self, trace, upstream):
         wg, bg, dvec = head_backward(self.head, trace.head, upstream)
-        nx = trace.vec_x.shape[0]
-        gx, dx = encode_backward(trace.enc_x, self.params_x, self.config_x, dvec[:nx])
-        gy, dy = encode_backward(trace.enc_y, self.params_y, self.config_y, dvec[nx:])
+        nx = trace.vec_x.shape[-1]
+        gx, dx = encode_backward(trace.enc_x, self.params_x, self.config_x,
+                                 sum_to_shape(dvec[..., :nx], trace.vec_x.shape))
+        gy, dy = encode_backward(trace.enc_y, self.params_y, self.config_y,
+                                 sum_to_shape(dvec[..., nx:], trace.vec_y.shape))
         grads = {}
         for li, (dw, db) in enumerate(gx):
             grads[f"enc_x.{li}.w"] = dw

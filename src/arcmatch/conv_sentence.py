@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EncodedSentence
+from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .tensor import activate, activate_grad_from_output, init_uniform
 
@@ -80,11 +80,11 @@ class SentenceModelParams:
 
 @dataclass
 class ConvLayerTrace:
-    z_in: np.ndarray        # input grid [L_in, F_in]
-    pre: np.ndarray         # affine pre-activation [L_out, F_out]
-    gate: np.ndarray        # 0/1 per location [L_out]
-    conv_out: np.ndarray    # gated activation [L_out, F_out]
-    pool_from: np.ndarray   # source row index per pooled cell
+    z_in: np.ndarray        # input grid [..., L_in, F_in]
+    pre: np.ndarray         # affine pre-activation [..., L_out, F_out]
+    gate: np.ndarray        # 0/1 per location [..., L_out]
+    conv_out: np.ndarray    # gated activation [..., L_out, F_out]
+    pool_from: np.ndarray   # source row per pooled cell [..., pooled, F_out]
     pool_out: np.ndarray
 
 
@@ -109,21 +109,31 @@ def init_sentence_params(config: SentenceModelConfig,
 
 
 def _window_stack(z: np.ndarray, k: int) -> np.ndarray:
-    """Rows i..i+k-1 of z concatenated per location: [L-k+1, k*F]."""
-    l_out = z.shape[0] - k + 1
-    return np.concatenate([z[i : i + l_out] for i in range(k)], axis=1)
+    """Rows i..i+k-1 of z concatenated per location: [..., L-k+1, k*F]."""
+    l_out = z.shape[-2] - k + 1
+    return np.concatenate([z[..., i : i + l_out, :] for i in range(k)], axis=-1)
+
+
+def _unstack_windows(dseg: np.ndarray, k: int, l_in: int) -> np.ndarray:
+    """Adjoint of _window_stack: add each window's gradient onto its rows."""
+    *lead, l_out, width = dseg.shape
+    f = width // k
+    dz = np.zeros((*lead, l_in, f), dtype=np.float64)
+    for j in range(k):
+        dz[..., j : j + l_out, :] += dseg[..., j * f : (j + 1) * f]
+    return dz
 
 
 def conv1d_gated(z_prev: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
                  activation: str = "relu"):
-    """Gated 1D convolution over a [L_in, F_in] grid.
+    """Gated 1D convolution over a [..., L_in, F_in] grid.
 
-    Returns (output [L_in-k+1, F_out], gate bits [L_in-k+1], pre-activation).
-    The gate is 0 exactly when the concatenated input segment is all-zero,
-    and it multiplies the activated output, so gated locations are exactly
-    zero regardless of the bias.
+    Returns (output [..., L_in-k+1, F_out], gate bits [..., L_in-k+1],
+    pre-activation). The gate is 0 exactly when the concatenated input
+    segment is all-zero, and it multiplies the activated output, so gated
+    locations are exactly zero regardless of the bias.
     """
-    l_in, f_in = z_prev.shape
+    l_in, f_in = z_prev.shape[-2:]
     if l_in < k:
         raise ShapeError(f"conv window {k} does not fit input of length {l_in}")
     if w.shape != (w.shape[0], k * f_in) or b.shape != (w.shape[0],):
@@ -133,39 +143,54 @@ def conv1d_gated(z_prev: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
         )
     seg = _window_stack(z_prev, k)
     pre = seg @ w.T + b
-    gate = seg.any(axis=1).astype(np.float64)
-    out = gate[:, None] * activate(pre, activation)
+    gate = seg.any(axis=-1).astype(np.float64)
+    out = activate(pre, activation)
+    out *= gate[..., None]
     return out, gate, pre
 
 
 def maxpool1d(z: np.ndarray):
     """Non-overlapping two-unit max per feature; odd length zero-padded.
 
-    Returns (pooled [ceil(L/2), F], argmax row per pooled cell [out, F]).
-    Ties go to the lower row index.
+    Returns (pooled [..., ceil(L/2), F], argmax row per pooled cell
+    [..., ceil(L/2), F]). Ties go to the lower row index.
     """
-    l, f = z.shape
+    l = z.shape[-2]
     if l % 2 == 1:
-        z = np.vstack([z, np.zeros((1, f), dtype=z.dtype)])
-    a = z[0::2]
-    b = z[1::2]
+        z = np.concatenate([z, np.zeros_like(z[..., :1, :])], axis=-2)
+    a = z[..., 0::2, :]
+    b = z[..., 1::2, :]
     take_b = b > a  # ties resolve to the earlier row
     pooled = np.where(take_b, b, a)
-    rows = np.arange(0, l + l % 2, 2)[:, None] + take_b.astype(np.int64)
+    rows = np.arange(0, l + l % 2, 2)[:, None] + take_b
     return pooled, rows
 
 
 def global_maxpool(z: np.ndarray):
-    """Max over all locations per feature; returns (vector [F], argmax rows)."""
-    rows = np.argmax(z, axis=0)  # first max wins, matching the tie rule
-    return z[rows, np.arange(z.shape[1])], rows
+    """Max over all locations per feature; returns (vector [..., F], argmax rows)."""
+    rows = np.argmax(z, axis=-2)  # first max wins, matching the tie rule
+    return z.max(axis=-2), rows
 
 
-def encode(sent: EncodedSentence, params: SentenceModelParams,
-           config: SentenceModelConfig):
-    """Run the full stack; returns (fixed-length vector, trace for backprop)."""
-    x = sent.x
-    if x.shape != (config.max_len, config.embed_dim):
+def _scatter_rows(rows: np.ndarray, dz: np.ndarray, length: int) -> np.ndarray:
+    """Adjoint of pooling: dz [..., P, F] placed at its source rows
+    [..., P, F] of a zero [..., length, F] array.
+
+    Pooling windows are disjoint, so every source is distinct and the
+    gradients are assigned, not accumulated.
+    """
+    *lead, p, f = rows.shape
+    n = rows.size // (p * f)
+    out = np.zeros((n, length, f), dtype=np.float64)
+    out[np.arange(n)[:, None, None], rows.reshape(n, p, f), np.arange(f)] = dz.reshape(n, p, f)
+    return out.reshape(*lead, length, f)
+
+
+def encode(sent, params: SentenceModelParams, config: SentenceModelConfig):
+    """Run the full stack on a sentence or a stack [..., L, D] of them;
+    returns (fixed-length vector [..., output_len], trace for backprop)."""
+    x = sentence_matrix(sent)
+    if x.shape[-2:] != (config.max_len, config.embed_dim):
         raise ShapeError(
             f"sentence matrix {x.shape} does not match config "
             f"({config.max_len}, {config.embed_dim})"
@@ -176,8 +201,8 @@ def encode(sent: EncodedSentence, params: SentenceModelParams,
         conv_out, gate, pre = conv1d_gated(z, w, b, k, config.activation)
         if config.global_pool:
             pool_out_vec, rows = global_maxpool(conv_out)
-            pool_out = pool_out_vec[None, :]
-            pool_from = rows[None, :]
+            pool_out = pool_out_vec[..., None, :]
+            pool_from = rows[..., None, :]
         else:
             pool_out, pool_from = maxpool1d(conv_out)
         trace.layers.append(ConvLayerTrace(z_in=z, pre=pre, gate=gate,
@@ -185,21 +210,20 @@ def encode(sent: EncodedSentence, params: SentenceModelParams,
                                            pool_from=pool_from,
                                            pool_out=pool_out))
         z = pool_out
-    if config.global_pool:
-        out = z[0].copy()
-    else:
-        out = z.reshape(-1).copy()
+    out = z.reshape(*z.shape[:-2], -1).copy()
     trace.output = out
     return out, trace
 
 
 def encode_backward(trace: LayerTrace, params: SentenceModelParams,
                     config: SentenceModelConfig, upstream: np.ndarray):
-    """Backpropagate d(loss)/d(output vector) through the stack.
+    """Backpropagate d(loss)/d(output vector) [..., output_len] through the
+    stack.
 
     Gradient flows only through pooling argmax rows and units whose gate
     bit is 1 (gate bits are constants). Returns (per-layer (dw, db) list,
-    gradient w.r.t. the input sentence matrix).
+    summed over the leading dimensions; gradient w.r.t. the input sentence
+    matrices [..., L, D]).
     """
     grads = []
     last = trace.layers[-1]
@@ -208,27 +232,18 @@ def encode_backward(trace: LayerTrace, params: SentenceModelParams,
         lt = trace.layers[li]
         w, _ = params.layers[li]
         k = config.windows[li]
-        # pooling: route each pooled gradient to its argmax row
-        d_conv = np.zeros_like(lt.conv_out)
-        cols = np.arange(lt.conv_out.shape[1])
-        for r in range(lt.pool_from.shape[0]):
-            src = lt.pool_from[r]
-            keep = src < lt.conv_out.shape[0]  # drop the synthetic pad row
-            np.add.at(d_conv, (src[keep], cols[keep]), dz[r][keep])
-        # gated activation; gate bits are constants, so they just scale
-        dpre = d_conv * lt.gate[:, None] * activate_grad_from_output(
-            lt.conv_out, config.activation
-        )
+        # only argmax rows pass gradient, and their output is the pooled
+        # value, so the activation derivative is taken at pooled resolution;
+        # gated-off units output exactly 0, where that derivative is 0.
+        # The extra row catches the synthetic pad row of odd lengths.
+        l_out, f_out = lt.conv_out.shape[-2:]
+        dpool = dz * activate_grad_from_output(lt.pool_out, config.activation)
+        dpre = _scatter_rows(lt.pool_from, dpool, l_out + 1)[..., :l_out, :]
         seg = _window_stack(lt.z_in, k)
-        dw = dpre.T @ seg
-        db = dpre.sum(axis=0)
+        dpre_flat = dpre.reshape(-1, f_out)
+        dw = dpre_flat.T @ seg.reshape(-1, seg.shape[-1])
+        db = dpre_flat.sum(axis=0)
         grads.append((dw, db))
-        dseg = dpre @ w
-        f_in = lt.z_in.shape[1]
-        dz_in = np.zeros_like(lt.z_in)
-        l_out = lt.conv_out.shape[0]
-        for j in range(k):
-            dz_in[j : j + l_out] += dseg[:, j * f_in : (j + 1) * f_in]
-        dz = dz_in
+        dz = _unstack_windows(dpre @ w, k, lt.z_in.shape[-2])
     grads.reverse()
     return grads, dz

@@ -62,6 +62,12 @@ class EncodedSentence:
     x: np.ndarray  # [max_len, dim]; rows length.. are all-zero
 
 
+def sentence_matrix(sent) -> np.ndarray:
+    """The padded matrix of an EncodedSentence; a stack of sentences is
+    passed as an array [..., max_len, dim] and returned unchanged."""
+    return sent if isinstance(sent, np.ndarray) else sent.x
+
+
 @dataclass
 class RunStats:
     """Counters surfaced to the user after a run."""
@@ -126,6 +132,11 @@ def load_embeddings(source) -> EmbeddingTable:
         raise ParseError(f"header declared {count} vectors but {loaded} were found", line=1 + loaded)
 
     vectors = np.vstack(rows)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ParseError(f"non-finite value in vector for "
+                         f"{vocab.index_to_token[row]!r}", line=row + 1)
     vectors[0] = vectors[1:].mean(axis=0)
     if not vectors[0].any():
         raise DataError("mean of loaded vectors is all-zero; <unk> would be gated off as padding")

@@ -31,11 +31,11 @@ class MlpHead:
 
 @dataclass
 class HeadTrace:
-    inputs: list   # input vector to each layer (post-dropout for hidden ones)
+    inputs: list   # input [..., width] to each layer (post-dropout for hidden ones)
     outputs: list  # pre-dropout hidden activations
     pres: list     # hidden pre-activations
     masks: list | None
-    score: float
+    score: float | np.ndarray
 
 
 def build_head(input_width: int, hidden_widths, rng, activation="relu",
@@ -63,59 +63,85 @@ def draw_dropout_masks(head: MlpHead, rng: np.random.Generator):
     ]
 
 
-def _first_layer_affine(w, b, v, split):
-    """First-layer pre-activation, computed per input half when split is set.
+def concat_pair(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """[vx, vy] along the last axis, broadcasting their leading dimensions."""
+    if vx.shape[:-1] != vy.shape[:-1]:
+        lead = np.broadcast_shapes(vx.shape[:-1], vy.shape[:-1])
+        vx = np.broadcast_to(vx, (*lead, vx.shape[-1]))
+        vy = np.broadcast_to(vy, (*lead, vy.shape[-1]))
+    return np.concatenate([vx, vy], axis=-1)
+
+
+def _matvec(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """w @ h over the last axis of h, as one BLAS matrix-vector product per
+    item, so stacked and single inputs round identically."""
+    return np.matmul(w, h[..., None])[..., 0]
+
+
+def _affine(w, b, h, split):
+    """Layer pre-activation, computed per input half when split is set.
 
     Splitting makes swapping two identical halves of the input bitwise
     neutral (float addition of the two half-products commutes), which the
     swap-symmetry property of tied siamese models relies on.
     """
     if split is None:
-        return w @ v + b
-    return (w[:, :split] @ v[:split]) + (w[:, split:] @ v[split:]) + b
+        return _matvec(w, h) + b
+    return _matvec(w[:, :split], h[..., :split]) + _matvec(w[:, split:], h[..., split:]) + b
 
 
 def head_forward(head: MlpHead, v: np.ndarray, masks=None,
-                 split: int | None = None) -> tuple[float, HeadTrace]:
-    if v.shape[0] != head.input_width:
+                 split: int | None = None):
+    """Score inputs v [..., width]; returns (score, HeadTrace).
+
+    The score is a float for a single input and an array [...] for a
+    stack. Masks are [..., hidden] per hidden layer and broadcast against
+    the input's leading dimensions.
+    """
+    if v.shape[-1] != head.input_width:
         raise ShapeError(
-            f"head expects input width {head.input_width}, got {v.shape[0]}"
+            f"head expects input width {head.input_width}, got {v.shape[-1]}"
         )
     inputs, outputs, pres = [], [], []
     h = v
     n_hidden = len(head.weights) - 1
     for li in range(n_hidden):
         inputs.append(h)
-        pre = _first_layer_affine(head.weights[li], head.biases[li], h,
-                                  split if li == 0 else None)
+        pre = _affine(head.weights[li], head.biases[li], h,
+                      split if li == 0 else None)
         pres.append(pre)
         a = activate(pre, head.activation)
         outputs.append(a)
         h = a * masks[li] if masks is not None else a
     inputs.append(h)
-    final = _first_layer_affine(head.weights[-1], head.biases[-1], h,
-                                split if n_hidden == 0 else None)
-    score = final.item()
+    final = _affine(head.weights[-1], head.biases[-1], h,
+                    split if n_hidden == 0 else None)[..., 0]
+    score = final.item() if final.ndim == 0 else final
     return score, HeadTrace(inputs=inputs, outputs=outputs, pres=pres,
                             masks=masks, score=score)
 
 
-def head_backward(head: MlpHead, trace: HeadTrace, upstream: float):
-    """Gradients of upstream * score w.r.t. head params and the input vector.
+def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum over the leading dimensions of the outer products d x^T."""
+    return d.reshape(-1, d.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
-    Returns (weight_grads, bias_grads, input_grad).
+
+def head_backward(head: MlpHead, trace: HeadTrace, upstream):
+    """Gradients of sum(upstream * score) w.r.t. head params and the input.
+
+    upstream is a float, or an array [...] matching a stacked score.
+    Returns (weight_grads, bias_grads, input_grad [..., width]); parameter
+    gradients are summed over the leading dimensions.
     """
     wgrads = [None] * len(head.weights)
     bgrads = [None] * len(head.biases)
-    d = np.array([upstream], dtype=np.float64)
-    wgrads[-1] = np.outer(d, trace.inputs[-1])
-    bgrads[-1] = d.copy()
-    dh = head.weights[-1].T @ d
-    for li in range(len(head.weights) - 2, -1, -1):
-        if trace.masks is not None:
-            dh = dh * trace.masks[li]
-        dpre = dh * activate_grad_from_output(trace.outputs[li], head.activation)
-        wgrads[li] = np.outer(dpre, trace.inputs[li])
-        bgrads[li] = dpre
-        dh = head.weights[li].T @ dpre
-    return wgrads, bgrads, dh
+    d = np.asarray(upstream, dtype=np.float64)[..., None]
+    for li in range(len(head.weights) - 1, -1, -1):
+        if li < len(head.weights) - 1:
+            if trace.masks is not None:
+                d = d * trace.masks[li]
+            d = d * activate_grad_from_output(trace.outputs[li], head.activation)
+        wgrads[li] = _outer_sum(d, trace.inputs[li])
+        bgrads[li] = d.reshape(-1, d.shape[-1]).sum(axis=0)
+        d = d @ head.weights[li]
+    return wgrads, bgrads, d

@@ -2,7 +2,10 @@
 
 Every model exposes the same duck-typed surface: .kind, .score(sx, sy,
 masks), .backward(trace, upstream) and .named_params() in the fixed
-checkpoint order.
+checkpoint order. score takes one pair of sentences, or stacks [..., L, D]
+whose leading dimensions broadcast, and returns a float or an array of
+scores; backward takes an upstream of the score's shape and sums the
+parameter gradients over all pairs.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ import numpy as np
 from .arc1 import build_arc1
 from .arc2 import build_arc2
 from .baselines import build_senmlp, build_senna, build_wordembed
-from .errors import ConfigError
+from .errors import CheckpointShapeError, ConfigError
 from .tensor import make_rng
 
 MODEL_KINDS = ("arc1", "arc2", "wordembed", "senmlp", "senna")
@@ -31,7 +34,10 @@ def _pairs(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(tuple(int(v) for v in item.split(":")) for item in text.split(","))
+    pairs = tuple(tuple(int(v) for v in item.split(":")) for item in text.split(","))
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError(f"expected window:maps pairs, got {text!r}")
+    return pairs
 
 
 def model_config_kv(model) -> dict:
@@ -76,42 +82,55 @@ def model_config_kv(model) -> dict:
 
 
 def build_model_from_kv(kv: dict, rng=None):
-    """Rebuild a model skeleton from a config mapping (fresh random params)."""
+    """Rebuild a model skeleton from a config mapping (fresh random params).
+
+    A missing key, or a value that does not parse as its type, raises
+    CheckpointShapeError naming the key.
+    """
     rng = rng if rng is not None else make_rng(0)
-    kind = kv.get("kind")
+
+    def get(key, parse=str):
+        if key not in kv:
+            raise CheckpointShapeError(f"config key {key!r} is missing")
+        try:
+            return parse(kv[key])
+        except ValueError:
+            raise CheckpointShapeError(f"config key {key!r} has invalid value {kv[key]!r}")
+
+    kind = get("kind")
     if kind == "arc1":
-        return build_arc1(int(kv["embed_dim"]), int(kv["max_len"]), rng,
-                          windows=_ints(kv["windows"]),
-                          feature_maps=_ints(kv["feature_maps"]),
-                          hidden=_ints(kv["hidden"]),
-                          activation=kv["activation"],
-                          dropout=float(kv["dropout"]),
-                          tie_weights=bool(int(kv["tie_weights"])),
-                          max_len_y=int(kv["max_len_y"]))
+        return build_arc1(get("embed_dim", int), get("max_len", int), rng,
+                          windows=get("windows", _ints),
+                          feature_maps=get("feature_maps", _ints),
+                          hidden=get("hidden", _ints),
+                          activation=get("activation"),
+                          dropout=get("dropout", float),
+                          tie_weights=bool(get("tie_weights", int)),
+                          max_len_y=get("max_len_y", int))
     if kind == "arc2":
-        return build_arc2(int(kv["embed_dim"]), int(kv["max_len"]), rng,
-                          window1=int(kv["window1"]), maps1=int(kv["maps1"]),
-                          twod_layers=_pairs(kv["twod"]),
-                          hidden=_ints(kv["hidden"]),
-                          activation=kv["activation"],
-                          dropout=float(kv["dropout"]))
+        return build_arc2(get("embed_dim", int), get("max_len", int), rng,
+                          window1=get("window1", int), maps1=get("maps1", int),
+                          twod_layers=get("twod", _pairs),
+                          hidden=get("hidden", _ints),
+                          activation=get("activation"),
+                          dropout=get("dropout", float))
     if kind == "wordembed":
-        return build_wordembed(int(kv["embed_dim"]), rng,
-                               hidden=_ints(kv["hidden"]),
-                               activation=kv["activation"],
-                               dropout=float(kv["dropout"]))
+        return build_wordembed(get("embed_dim", int), rng,
+                               hidden=get("hidden", _ints),
+                               activation=get("activation"),
+                               dropout=get("dropout", float))
     if kind == "senmlp":
-        return build_senmlp(int(kv["embed_dim"]), int(kv["max_len"]), rng,
-                            hidden=_ints(kv["hidden"]),
-                            activation=kv["activation"],
-                            dropout=float(kv["dropout"]))
+        return build_senmlp(get("embed_dim", int), get("max_len", int), rng,
+                            hidden=get("hidden", _ints),
+                            activation=get("activation"),
+                            dropout=get("dropout", float))
     if kind == "senna":
-        return build_senna(int(kv["embed_dim"]), int(kv["max_len"]), rng,
-                           window=int(kv["window"]), maps=int(kv["maps"]),
-                           hidden=_ints(kv["hidden"]),
-                           activation=kv["activation"],
-                           dropout=float(kv["dropout"]))
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return build_senna(get("embed_dim", int), get("max_len", int), rng,
+                           window=get("window", int), maps=get("maps", int),
+                           hidden=get("hidden", _ints),
+                           activation=get("activation"),
+                           dropout=get("dropout", float))
+    raise CheckpointShapeError(f"config key 'kind' has invalid value {kind!r}")
 
 
 def param_vector(model) -> np.ndarray:

@@ -4,6 +4,15 @@ Tensors are plain float64 numpy arrays in row-major (C) order; every
 operation here is pure and single-threaded. Randomness comes from numpy's
 PCG64 generator seeded explicitly, so identical seeds give identical
 streams on one platform.
+
+Leading-dimension convention: every layer takes its operand with any
+number of leading batch dimensions in front of the per-item shape
+(sentences [..., L, D], grids [..., ni, nj, F], head inputs [..., W]) and
+returns results with the same leading dimensions. Matrix products are
+issued as one BLAS call per item, so a stacked call returns exactly, bit
+for bit, what per-item calls return; an input without leading dimensions
+is the single-pair case. Backward passes sum parameter gradients over all
+leading dimensions.
 """
 
 import numpy as np
@@ -29,6 +38,13 @@ def affine(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"affine shape mismatch: w {w.shape} incompatible with v {v.shape}, b {b.shape}"
         )
     return w @ v + b
+
+
+def sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
+    """Adjoint of broadcasting: sum g over the leading axes that
+    broadcasting added in front of an array of `shape`."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import arcmatch
 from arcmatch.cli import main
 
 from arcmatch.data import load_pairs
@@ -230,3 +233,29 @@ def test_train_builds_default_stacks(tmp_path, synth_dir):
     assert kv1["windows"] == "3,2"
     assert len(model1.params_x.layers) == 2
     assert len(model1.head.weights) == 2
+
+
+@pytest.mark.parametrize("edit", ["delete hidden", "hidden=eight", "delete kind"])
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_bad_checkpoint_config_key_is_data_error(trained, synth_dir, tmp_path,
+                                                 command, edit):
+    # the header is not checksummed, so a damaged key reaches the model builder
+    lines = open(trained, "rb").read().split(b"\n")
+    key = edit.split()[-1].split("=")[0]
+    at = next(i for i, line in enumerate(lines) if line.startswith(key.encode() + b"="))
+    if edit.startswith("delete"):
+        del lines[at]
+    else:
+        lines[at] = edit.encode()
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(b"\n".join(lines))
+    args = {"eval": ["--data", str(synth_dir / "test.pairs")],
+            "score": ["--x", "t0w1 t0w2", "--y", "t0w1"]}[command]
+    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcmatch.cli", command, "--checkpoint", str(damaged),
+         "--embeddings", str(trained) + ".embeddings.txt", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"'{key}'" in proc.stderr

@@ -108,3 +108,11 @@ def test_gate_fires_exactly_on_padding_rows():
         for r in range(8):
             is_zero = not sent.x[r].any()
             assert is_zero == (r >= sent.length)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_load_non_finite_value_reports_line(value):
+    with pytest.raises(ParseError) as err:
+        load_embeddings(_src(f"3 2\nfoo 1 2\nbar 3 {value}\nbaz 5 6\n"))
+    assert err.value.line == 3
+    assert "bar" in str(err.value)
