@@ -23,7 +23,7 @@ from .embeddings import (EmbeddingTable, EncodedSentence, Vocabulary,
                          encode_sentence, load_embeddings, random_embeddings,
                          tokenize)
 from .metrics import EvalReport, classify_eval, margin_stats, p_at_1
-from .tensor import activate, affine, finite_diff, init_uniform, make_rng
+from .tensor import activate, finite_diff, init_uniform, make_rng
 from .training import (TrainConfig, TrainHistory, Triple, gradient_check,
                        hinge_loss, sgd_step, train)
 

@@ -1,12 +1,14 @@
-"""Siamese matching architecture (ARC-I).
+"""Siamese matching architecture (ARC-I) and its cheaper variants.
 
-Each sentence is encoded independently by a convolutional sentence model;
-the two fixed-length vectors are concatenated and scored by the MLP head.
-The two encoders may share parameters (tie_weights) when the task is
-homogeneous.
+Each sentence is encoded independently by a sentence model; the two
+fixed-length vectors are concatenated and scored by the MLP head. ARC-I's
+encoder is a stack of gated convolutions and two-unit max-pooling, and
+the two encoders may share parameters (tie_weights) when the task is
+homogeneous. The baselines (baselines.py) are this same model with a
+simpler encoder, told apart only by `kind`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from .conv_sentence import (SentenceModelConfig, SentenceModelParams, encode,
                             encode_backward, init_sentence_params)
 from .errors import ConfigError
 from .mlp import MlpHead, build_head, concat_pair, head_backward, head_forward
-from .tensor import sum_to_shape
+from .tensor import named_layers, sum_to_shape
 
 
 @dataclass
@@ -25,6 +27,11 @@ class Arc1Trace:
     enc_y: object
     head: object
     score: float
+
+    @property
+    def layers(self) -> list:
+        """Conv-layer traces of both encoders."""
+        return self.enc_x.layers + self.enc_y.layers
 
 
 @dataclass
@@ -55,53 +62,25 @@ class Arc1Model:
                                  sum_to_shape(dvec[..., :nx], trace.vec_x.shape))
         gy, dy = encode_backward(trace.enc_y, self.params_y, self.config_y,
                                  sum_to_shape(dvec[..., nx:], trace.vec_y.shape))
-        grads = {}
         if self.tie_weights:
-            for li, ((dwx, dbx), (dwy, dby)) in enumerate(zip(gx, gy)):
-                grads[f"enc_x.{li}.w"] = dwx + dwy
-                grads[f"enc_x.{li}.b"] = dbx + dby
+            enc = named_layers("enc_x", [(dwx + dwy, dbx + dby) for (dwx, dbx), (dwy, dby)
+                                         in zip(gx, gy)])
         else:
-            for li, (dw, db) in enumerate(gx):
-                grads[f"enc_x.{li}.w"] = dw
-                grads[f"enc_x.{li}.b"] = db
-            for li, (dw, db) in enumerate(gy):
-                grads[f"enc_y.{li}.w"] = dw
-                grads[f"enc_y.{li}.b"] = db
-        for li, (dw, db) in enumerate(zip(wg, bg)):
-            grads[f"head.{li}.w"] = dw
-            grads[f"head.{li}.b"] = db
-        return grads, dx, dy
+            enc = named_layers("enc_x", gx) + named_layers("enc_y", gy)
+        return dict(enc + named_layers("head", zip(wg, bg))), dx, dy
 
     def named_params(self):
         """Fixed order: encoder layers ascending (w before b), head last."""
-        out = []
-        for li, (w, b) in enumerate(self.params_x.layers):
-            out.append((f"enc_x.{li}.w", w))
-            out.append((f"enc_x.{li}.b", b))
+        enc = named_layers("enc_x", self.params_x.layers)
         if not self.tie_weights:
-            for li, (w, b) in enumerate(self.params_y.layers):
-                out.append((f"enc_y.{li}.w", w))
-                out.append((f"enc_y.{li}.b", b))
-        for li, (w, b) in enumerate(zip(self.head.weights, self.head.biases)):
-            out.append((f"head.{li}.w", w))
-            out.append((f"head.{li}.b", b))
-        return out
+            enc += named_layers("enc_y", self.params_y.layers)
+        return enc + named_layers("head", zip(self.head.weights, self.head.biases))
 
 
-def build_arc1(embed_dim: int, max_len: int, rng,
-               windows=(3, 2), feature_maps=(16, 16), hidden=(128,),
-               activation="relu", dropout=0.0, tie_weights=False,
-               max_len_y=None) -> Arc1Model:
-    """Assemble a siamese model with freshly initialized parameters."""
-    config_x = SentenceModelConfig(embed_dim=embed_dim, max_len=max_len,
-                                   windows=tuple(windows),
-                                   feature_maps=tuple(feature_maps),
-                                   activation=activation)
-    config_y = SentenceModelConfig(embed_dim=embed_dim,
-                                   max_len=max_len if max_len_y is None else max_len_y,
-                                   windows=tuple(windows),
-                                   feature_maps=tuple(feature_maps),
-                                   activation=activation)
+def build_siamese(config_x: SentenceModelConfig, config_y: SentenceModelConfig,
+                  rng, hidden, activation, dropout, tie_weights=False,
+                  kind="arc1") -> Arc1Model:
+    """Initialize the encoders (x, then y unless tied), then the head."""
     config_x.validate()
     config_y.validate()
     if tie_weights and config_x != config_y:
@@ -112,4 +91,20 @@ def build_arc1(embed_dim: int, max_len: int, rng,
                       activation=activation, dropout=dropout)
     return Arc1Model(config_x=config_x, config_y=config_y,
                      params_x=params_x, params_y=params_y,
-                     head=head, tie_weights=tie_weights)
+                     head=head, tie_weights=tie_weights, kind=kind)
+
+
+def build_arc1(embed_dim: int, max_len: int, rng,
+               windows=(3, 2), feature_maps=(16, 16), hidden=(128,),
+               activation="relu", dropout=0.0, tie_weights=False,
+               max_len_y=None) -> Arc1Model:
+    """Assemble a siamese model with freshly initialized parameters."""
+    if not windows:
+        raise ConfigError("arc1 needs at least one conv layer, got no windows")
+    config_x = SentenceModelConfig(embed_dim=embed_dim, max_len=max_len,
+                                   windows=tuple(windows),
+                                   feature_maps=tuple(feature_maps),
+                                   activation=activation)
+    config_y = replace(config_x, max_len=max_len if max_len_y is None else max_len_y)
+    return build_siamese(config_x, config_y, rng, hidden, activation, dropout,
+                         tie_weights)

@@ -20,7 +20,8 @@ from .conv_sentence import _unstack_windows, _window_stack
 from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .mlp import MlpHead, build_head, head_backward, head_forward
-from .tensor import activate, activate_grad_from_output, init_uniform, sum_to_shape
+from .tensor import (activate, activate_grad_from_output, init_uniform,
+                     named_layers, sum_to_shape)
 
 
 @dataclass
@@ -252,10 +253,7 @@ class Arc2Model:
         and dy shaped like the sentence inputs."""
         cfg = self.config
         wg, bg, dflat = head_backward(self.head, trace.head, upstream)
-        grads = {}
-        for li, (dw, db) in enumerate(zip(wg, bg)):
-            grads[f"head.{li}.w"] = dw
-            grads[f"head.{li}.b"] = db
+        grads = dict(named_layers("head", zip(wg, bg)))
 
         dz = dflat.reshape(trace.layers[-1].pool_out.shape)
         for li in range(len(trace.layers) - 1, 0, -1):
@@ -296,14 +294,9 @@ class Arc2Model:
 
     def named_params(self):
         """Fixed order: pair layer, 2D layers ascending (w before b), head last."""
-        out = [("w1", self.params.w1), ("b1", self.params.b1)]
-        for li, (w, b) in enumerate(self.params.twod):
-            out.append((f"twod.{li}.w", w))
-            out.append((f"twod.{li}.b", b))
-        for li, (w, b) in enumerate(zip(self.head.weights, self.head.biases)):
-            out.append((f"head.{li}.w", w))
-            out.append((f"head.{li}.b", b))
-        return out
+        return [("w1", self.params.w1), ("b1", self.params.b1),
+                *named_layers("twod", self.params.twod),
+                *named_layers("head", zip(self.head.weights, self.head.biases))]
 
 
 def _pool2d_backward(dz: np.ndarray, lt: GridLayerTrace, activation: str) -> np.ndarray:

@@ -8,19 +8,14 @@ or configuration error, 2 data error, 3 numeric failure.
 import argparse
 import sys
 
-import numpy as np
-
 from . import data as dp
-from .arc1 import build_arc1
-from .arc2 import build_arc2
-from .baselines import build_senmlp, build_senna, build_wordembed
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import (RunStats, encode_sentence, load_embeddings,
                          random_embeddings, tokenize, write_embeddings)
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
 from .metrics import classify_eval, p_at_1, select_threshold
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, _ints, _pairs, build_model
 from .tensor import make_rng
 from .training import TrainConfig, gradient_check, train
 
@@ -34,19 +29,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _ints(text):
-    return tuple(int(v) for v in text.split(",")) if text.strip() else ()
-
-
-def _pairs_spec(text):
-    return tuple(tuple(int(v) for v in item.split(":")) for item in text.split(","))
-
-
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (execution is currently single-threaded)")
-    p.add_argument("--deterministic", action="store_true", default=True)
 
 
 def build_parser() -> _Parser:
@@ -75,13 +59,13 @@ def build_parser() -> _Parser:
     t.add_argument("--embed-seed", type=int, default=None,
                    help="seed for --random-embeddings (default: --seed)")
     t.add_argument("--max-len", type=int, default=16)
-    t.add_argument("--layers", default="default",
-                   help="'default' keeps the standard stack for the model kind")
     t.add_argument("--window", type=int, default=3)
-    t.add_argument("--maps", default="", help="feature maps, e.g. '16,16' (arc1)")
-    t.add_argument("--twod", default="2:16,2:16",
+    t.add_argument("--maps", type=_ints, default="",
+                   help="feature maps, e.g. '16,16' (arc1; default 16,16); "
+                        "arc2 and senna take the first")
+    t.add_argument("--twod", type=_pairs, default="2:16,2:16",
                    help="2D conv layers for arc2 as window:maps,...")
-    t.add_argument("--hidden", default="64", help="MLP hidden widths, csv")
+    t.add_argument("--hidden", type=_ints, default="64", help="MLP hidden widths, csv")
     t.add_argument("--activation", default="relu", choices=("relu", "sigmoid"))
     t.add_argument("--tie-weights", action="store_true")
     t.add_argument("--dropout", type=float, default=0.0)
@@ -164,48 +148,15 @@ def _table_from_args(args, vocab_paths):
 
 
 def _build_model(args, embed_dim):
-    if args.layers != "default":
-        raise UsageError(
-            "--layers only accepts 'default'; shape the stack with "
-            "--window/--maps/--twod/--hidden instead"
-        )
-    rng = make_rng(args.seed)
-    hidden = _ints(args.hidden)
-    kind = args.model
-    if kind == "arc1":
-        maps = _ints(args.maps) or (16, 16)
-        return build_arc1(embed_dim, args.max_len, rng,
-                          windows=(args.window, 2), feature_maps=maps,
-                          hidden=hidden, activation=args.activation,
-                          dropout=args.dropout, tie_weights=args.tie_weights)
-    if kind == "arc2":
-        maps1 = (_ints(args.maps) or (16,))[0]
-        return build_arc2(embed_dim, args.max_len, rng,
-                          window1=args.window, maps1=maps1,
-                          twod_layers=_pairs_spec(args.twod), hidden=hidden,
-                          activation=args.activation, dropout=args.dropout)
-    if kind == "wordembed":
-        return build_wordembed(embed_dim, rng, hidden=hidden,
-                               activation=args.activation, dropout=args.dropout)
-    if kind == "senmlp":
-        return build_senmlp(embed_dim, args.max_len, rng, hidden=hidden,
-                            activation=args.activation, dropout=args.dropout)
-    if kind == "senna":
-        maps = (_ints(args.maps) or (16,))[0]
-        return build_senna(embed_dim, args.max_len, rng, window=args.window,
-                           maps=maps, hidden=hidden, activation=args.activation,
-                           dropout=args.dropout)
-    raise UsageError(f"unknown model kind {kind}")
-
-
-def _model_max_len(model) -> int:
-    if model.kind == "arc1":
-        return model.config_x.max_len
-    if model.kind == "arc2":
-        return model.config.max_len
-    if model.kind in ("senmlp", "senna"):
-        return model.max_len if model.kind == "senmlp" else model.config_x.max_len
-    return 0  # wordembed accepts any padded length
+    """The model the flags describe; each kind reads the builder arguments
+    it takes (see models.KINDS)."""
+    maps = args.maps or (16, 16)
+    flags = dict(embed_dim=embed_dim, max_len=args.max_len,
+                 windows=(args.window, 2), feature_maps=maps,
+                 window1=args.window, maps1=maps[0], window=args.window, maps=maps[0],
+                 twod_layers=args.twod, hidden=args.hidden, activation=args.activation,
+                 dropout=args.dropout, tie_weights=args.tie_weights)
+    return build_model(args.model, flags, make_rng(args.seed))
 
 
 def _encoding_scorer(model, table, max_len, stats):
@@ -298,7 +249,7 @@ def cmd_eval(args) -> int:
     model, kv = load_checkpoint(args.checkpoint)
     vocab_paths = args.vocab_from.split(",") if args.vocab_from else [args.data]
     table = _table_from_args(args, vocab_paths)
-    max_len = args.max_len or _model_max_len(model) or int(kv.get("max_len", 16))
+    max_len = args.max_len or int(kv.get("max_len", 16))
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)
     if args.classify:
@@ -358,7 +309,7 @@ def cmd_score(args) -> int:
         raise UsageError("need --pairs FILE or both --x and --y")
     vocab_paths = args.vocab_from.split(",") if args.vocab_from else vocab_default
     table = _table_from_args(args, vocab_paths)
-    max_len = _model_max_len(model) or int(kv.get("max_len", 16))
+    max_len = int(kv.get("max_len", 16))
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)
     if args.pair_file:

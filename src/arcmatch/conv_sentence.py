@@ -8,7 +8,8 @@ hierarchy of dead units that neither the forward pass nor gradients cross.
 
 The degenerate single-layer mode pools each feature map over the whole
 sentence instead (global_pool), giving an order-insensitive local-template
-encoder.
+encoder. A stack of no layers reads the word rows out directly: flattened,
+or summed (sum_rows) into an order-blind bag of words.
 """
 
 from dataclasses import dataclass, field
@@ -23,22 +24,25 @@ from .tensor import activate, activate_grad_from_output, init_uniform
 @dataclass
 class SentenceModelConfig:
     embed_dim: int
-    max_len: int
+    max_len: int | None   # None: any padded length (summed rows only)
     windows: tuple        # window width per conv layer, in prior-layer units
     feature_maps: tuple   # filter count per conv layer
     activation: str = "relu"
     global_pool: bool = False
+    sum_rows: bool = False  # read out the sum of the top rows, not all of them
 
     @property
     def depth(self) -> int:
         return len(self.windows)
 
     def validate(self) -> None:
-        if self.depth < 1 or len(self.feature_maps) != self.depth:
+        if len(self.feature_maps) != self.depth:
             raise ConfigError(
-                f"windows and feature_maps must be equal-length and nonempty, "
+                f"windows and feature_maps must be equal-length, "
                 f"got {self.windows} / {self.feature_maps}"
             )
+        if self.max_len is None and (self.depth or not self.sum_rows):
+            raise ConfigError("max_len may be left open only for summed word rows")
         if any(k < 2 for k in self.windows):
             raise ConfigError(f"every window must be >= 2, got {self.windows}")
         if any(f < 1 for f in self.feature_maps):
@@ -66,9 +70,9 @@ class SentenceModelConfig:
     @property
     def output_len(self) -> int:
         plan = self.layer_plan()
-        if self.global_pool:
-            return self.feature_maps[0]
-        return plan[-1][1] * self.feature_maps[-1]
+        rows, width = (plan[-1][1], self.feature_maps[-1]) if plan else (
+            self.max_len, self.embed_dim)
+        return width if self.sum_rows else rows * width
 
 
 @dataclass
@@ -91,6 +95,7 @@ class ConvLayerTrace:
 @dataclass
 class LayerTrace:
     layers: list = field(default_factory=list)
+    top_shape: tuple = ()  # [..., rows, features] read out into the vector
     output: np.ndarray | None = None
 
 
@@ -190,7 +195,7 @@ def encode(sent, params: SentenceModelParams, config: SentenceModelConfig):
     """Run the full stack on a sentence or a stack [..., L, D] of them;
     returns (fixed-length vector [..., output_len], trace for backprop)."""
     x = sentence_matrix(sent)
-    if x.shape[-2:] != (config.max_len, config.embed_dim):
+    if x.shape[-1] != config.embed_dim or config.max_len not in (None, x.shape[-2]):
         raise ShapeError(
             f"sentence matrix {x.shape} does not match config "
             f"({config.max_len}, {config.embed_dim})"
@@ -210,7 +215,9 @@ def encode(sent, params: SentenceModelParams, config: SentenceModelConfig):
                                            pool_from=pool_from,
                                            pool_out=pool_out))
         z = pool_out
-    out = z.reshape(*z.shape[:-2], -1).copy()
+    trace.top_shape = z.shape
+    # padding rows are zero, so they add nothing to the sum
+    out = z.sum(axis=-2) if config.sum_rows else z.reshape(*z.shape[:-2], -1).copy()
     trace.output = out
     return out, trace
 
@@ -226,8 +233,9 @@ def encode_backward(trace: LayerTrace, params: SentenceModelParams,
     matrices [..., L, D]).
     """
     grads = []
-    last = trace.layers[-1]
-    dz = upstream.reshape(last.pool_out.shape).astype(np.float64)
+    if config.sum_rows:  # every summed row gets the whole gradient
+        upstream = np.broadcast_to(upstream[..., None, :], trace.top_shape)
+    dz = upstream.reshape(trace.top_shape).astype(np.float64)
     for li in range(len(params.layers) - 1, -1, -1):
         lt = trace.layers[li]
         w, _ = params.layers[li]

@@ -27,17 +27,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def affine(w: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compute w @ v + b for a rank-2 w, rank-1 v and rank-1 b."""
-    if w.ndim != 2 or v.ndim != 1 or b.ndim != 1:
-        raise ShapeError(
-            f"affine expects ranks (2,1,1), got shapes {w.shape}, {v.shape}, {b.shape}"
-        )
-    if w.shape[1] != v.shape[0] or w.shape[0] != b.shape[0]:
-        raise ShapeError(
-            f"affine shape mismatch: w {w.shape} incompatible with v {v.shape}, b {b.shape}"
-        )
-    return w @ v + b
+def named_layers(prefix: str, layers) -> list:
+    """[(prefix.i.w, w), (prefix.i.b, b)] for each (w, b) layer i, in order:
+    the parameter and gradient names of every layer stack."""
+    return [(f"{prefix}.{i}.{n}", t) for i, (w, b) in enumerate(layers)
+            for n, t in (("w", w), ("b", b))]
 
 
 def sum_to_shape(g: np.ndarray, shape) -> np.ndarray:

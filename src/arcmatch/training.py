@@ -8,13 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arc1 import build_arc1
-from .arc2 import build_arc2
-from .baselines import build_senmlp, build_senna, build_wordembed
 from .embeddings import EncodedSentence, random_embeddings, encode_sentence
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .mlp import draw_dropout_masks
-from .models import clone_params, param_vector, restore_params, set_param_vector
+from .models import (KINDS, build_model, clone_params, param_vector,
+                     restore_params, set_param_vector)
 from .tensor import finite_diff, make_rng
 
 
@@ -248,18 +246,6 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     return model, history
 
 
-GRADCHECK_BUILDERS = {
-    "arc1": lambda dim, max_len, rng: build_arc1(
-        dim, max_len, rng, windows=(3, 2), feature_maps=(3, 2), hidden=(4,)),
-    "arc2": lambda dim, max_len, rng: build_arc2(
-        dim, max_len, rng, window1=2, maps1=3, twod_layers=((2, 2),), hidden=(4,)),
-    "wordembed": lambda dim, max_len, rng: build_wordembed(dim, rng, hidden=(5,)),
-    "senmlp": lambda dim, max_len, rng: build_senmlp(dim, max_len, rng, hidden=(5,)),
-    "senna": lambda dim, max_len, rng: build_senna(
-        dim, max_len, rng, window=3, maps=4, hidden=(4,)),
-}
-
-
 def _random_sentence(table, max_len, rng):
     n_tokens = len(table.vocab) - 1
     length = int(rng.integers(2, max_len + 1))
@@ -268,42 +254,31 @@ def _random_sentence(table, max_len, rng):
     return encode_sentence(tokens, table, max_len)
 
 
-def _pool_gap(conv_out: np.ndarray, global_pool: bool) -> float:
-    """Smallest winner-vs-runner-up gap over pooling windows.
+def _pool_gap(lt) -> float:
+    """Smallest winner-vs-runner-up gap over a conv layer's pooling windows.
 
-    Windows whose top value is 0 are skipped: all their inputs are exact
-    zeros (gated or padded), which stay constant under parameter
+    A one-pair trace holds either a sentence [L, F], pooled in pairs of
+    rows when it has ceil(L/2) pooled rows (for L <= 2 that is also the
+    whole-sentence max) and over all rows otherwise, or an ARC-II grid
+    [ni, nj, F], pooled in 2x2 blocks. Windows whose top value is 0 are skipped: all their inputs
+    are exact zeros (gated or padded), which stay constant under parameter
     perturbation, so the tie cannot flip.
     """
-    if conv_out.ndim == 2:
-        if global_pool:
-            if conv_out.shape[0] < 2:
-                return np.inf
-            top2 = np.sort(conv_out, axis=0)[-2:, :]
-        else:
-            l, f = conv_out.shape
-            z = conv_out if l % 2 == 0 else np.vstack(
-                [conv_out, np.zeros((1, f), dtype=conv_out.dtype)])
-            top2 = np.sort(np.stack([z[0::2], z[1::2]]), axis=0)[-2:]
-    else:
-        ni, nj, f = conv_out.shape
-        z = np.pad(conv_out, ((0, ni % 2), (0, nj % 2), (0, 0)))
+    z = lt.conv_out
+    if z.ndim == 3:
+        ni, nj, f = z.shape
+        z = np.pad(z, ((0, ni % 2), (0, nj % 2), (0, 0)))
         cands = np.stack([z[0::2, 0::2], z[0::2, 1::2], z[1::2, 0::2], z[1::2, 1::2]])
         top2 = np.sort(cands, axis=0)[-2:]
+    elif lt.pool_out.shape[0] == (z.shape[0] + 1) // 2:
+        z = np.pad(z, ((0, z.shape[0] % 2), (0, 0)))
+        top2 = np.sort(np.stack([z[0::2], z[1::2]]), axis=0)[-2:]
+    else:
+        top2 = np.sort(z, axis=0)[-2:, :]
     live = top2[-1] > 0
     if not live.any():
         return np.inf
     return float((top2[-1] - top2[-2])[live].min())
-
-
-def _conv_kink_distance(layer_traces, activation: str, global_pool: bool) -> float:
-    dist = np.inf
-    for lt in layer_traces:
-        active = np.broadcast_to((lt.gate > 0)[..., None], lt.pre.shape)
-        if activation == "relu" and active.any():
-            dist = min(dist, float(np.abs(lt.pre[active]).min()))
-        dist = min(dist, _pool_gap(lt.conv_out, global_pool))
-    return dist
 
 
 def _trace_kink_distance(model, trace) -> float:
@@ -311,22 +286,19 @@ def _trace_kink_distance(model, trace) -> float:
 
     Central differences are only valid away from relu kinks, pooling ties
     and the hinge kink; gradient_check resamples draws too close to one.
+    Every builder gives the conv layers the head's activation.
     """
+    relu = model.head.activation == "relu"
     dist = np.inf
-    if model.head.activation == "relu":
+    if relu:
         for pre in trace.head.pres:
             if pre.size:
                 dist = min(dist, float(np.abs(pre).min()))
-    kind = model.kind
-    if kind in ("arc1", "senna"):
-        gp = model.config_x.global_pool
-        dist = min(dist, _conv_kink_distance(trace.enc_x.layers,
-                                             model.config_x.activation, gp))
-        dist = min(dist, _conv_kink_distance(trace.enc_y.layers,
-                                             model.config_y.activation, gp))
-    elif kind == "arc2":
-        dist = min(dist, _conv_kink_distance(trace.layers,
-                                             model.config.activation, False))
+    for lt in trace.layers:
+        active = np.broadcast_to((lt.gate > 0)[..., None], lt.pre.shape)
+        if relu and active.any():
+            dist = min(dist, float(np.abs(lt.pre[active]).min()))
+        dist = min(dist, _pool_gap(lt))
     return dist
 
 
@@ -344,13 +316,14 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
     negate_bias_grad flips the sign of one analytic bias gradient; it
     exists so the failure path of the comparison can be exercised.
     """
-    if model_kind not in GRADCHECK_BUILDERS:
+    if model_kind not in KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
     guard = 50.0 * eps
     for attempt in range(64):
         rng = make_rng((seed << 8) + attempt)
         table = random_embeddings([f"w{i}" for i in range(12)], embed_dim, rng)
-        model = GRADCHECK_BUILDERS[model_kind](embed_dim, max_len, rng)
+        model = build_model(model_kind, dict(embed_dim=embed_dim, max_len=max_len,
+                                             **KINDS[model_kind].gradcheck), rng)
         sx = _random_sentence(table, max_len, rng)
         sy_pos = _random_sentence(table, max_len, rng)
         sy_neg = _random_sentence(table, max_len, rng)

@@ -264,6 +264,7 @@ def test_criterion_5_random_guess_calibration():
        f"(0.20 +/- 0.02, n=10000, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_learnability(corpus_and_tokens):
     t0 = time.time()
     corpus, tokens = corpus_and_tokens
@@ -293,6 +294,7 @@ def order_experiment(corpus_and_tokens):
     return {k: float(np.mean(v)) for k, v in results.items()}, results
 
 
+@pytest.mark.slow
 def test_criterion_7_order_sensitivity(order_experiment):
     means, raw = order_experiment
     chance = 0.20
@@ -303,6 +305,7 @@ def test_criterion_7_order_sensitivity(order_experiment):
        f"raw arc2={['%.3f' % v for v in raw['arc2']]} arc1={['%.3f' % v for v in raw['arc1']]}")
 
 
+@pytest.mark.slow
 def test_criterion_8_bag_of_words_gap(order_experiment):
     means, raw = order_experiment
     assert abs(means["wordembed"] - 0.20) <= 0.03, raw
@@ -312,6 +315,7 @@ def test_criterion_8_bag_of_words_gap(order_experiment):
        f"({means['arc2']:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_9_overfit_sanity():
     from arcmatch.data import TokenTriple
 

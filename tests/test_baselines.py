@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from arcmatch.arc1 import build_arc1
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
-from arcmatch.conv_sentence import encode
+from arcmatch.conv_sentence import SentenceModelConfig, encode
 from arcmatch.embeddings import encode_sentence
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.tensor import make_rng
@@ -90,11 +91,21 @@ def test_senna_output_width_independent_of_max_len():
 
 
 def test_senna_requires_depth_one():
-    from arcmatch.conv_sentence import SentenceModelConfig
     cfg = SentenceModelConfig(embed_dim=4, max_len=8, windows=(3, 2),
                               feature_maps=(2, 2), global_pool=True)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_conv_builders_reject_an_empty_stack():
+    # only WordEmbed and SenMLP encode without a convolution
+    with pytest.raises(ConfigError):
+        build_arc1(4, 8, make_rng(0), windows=(), feature_maps=())
+    with pytest.raises(ConfigError):
+        build_senna(4, 8, make_rng(0), maps=0)
+    with pytest.raises(ConfigError):
+        SentenceModelConfig(embed_dim=4, max_len=8, windows=(), feature_maps=(),
+                            global_pool=True).validate()
 
 
 def test_senna_equals_depth_one_encoder_with_whole_sentence_pool():

@@ -6,7 +6,7 @@ from arcmatch.arc2 import build_arc2
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from arcmatch.errors import (CheckpointChecksumError, CheckpointShapeError,
-                             CheckpointVersionError)
+                             CheckpointVersionError, ConfigError)
 from arcmatch.models import param_vector
 from arcmatch.tensor import make_rng
 
@@ -94,6 +94,22 @@ def test_config_edit_without_blob_edit_is_shape_error(tmp_path):
     assert patched != blob
     path.write_bytes(patched)
     with pytest.raises(CheckpointShapeError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keys", [("windows",), ("feature_maps",),
+                                  ("windows", "feature_maps")])
+def test_arc1_header_with_an_empty_stack_is_rejected(tmp_path, keys):
+    # arc1 shares its class with the convolution-free baselines; an emptied
+    # stack must not load as one of them
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, _builders()["arc1"](make_rng(4)))
+    lines = path.read_bytes().split(b"\n")
+    for key in keys:
+        at = next(i for i, line in enumerate(lines) if line.startswith(key.encode() + b"="))
+        lines[at] = key.encode() + b"="
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigError):
         load_checkpoint(path)
 
 

@@ -15,6 +15,14 @@ def run(argv):
     return main(argv)
 
 
+def _run_cli(argv):
+    """Run the CLI as its own process, so that a traceback would show."""
+    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
+    return subprocess.run([sys.executable, "-m", "arcmatch.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def test_gen_synth_split_counts(tmp_path):
     out = tmp_path / "synth"
     code = run(["gen-synth", "--out", str(out), "--pairs", "1000",
@@ -251,11 +259,18 @@ def test_bad_checkpoint_config_key_is_data_error(trained, synth_dir, tmp_path,
     damaged.write_bytes(b"\n".join(lines))
     args = {"eval": ["--data", str(synth_dir / "test.pairs")],
             "score": ["--x", "t0w1 t0w2", "--y", "t0w1"]}[command]
-    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "arcmatch.cli", command, "--checkpoint", str(damaged),
-         "--embeddings", str(trained) + ".embeddings.txt", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = _run_cli([command, "--checkpoint", str(damaged),
+                     "--embeddings", str(trained) + ".embeddings.txt", *args])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"'{key}'" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [("--hidden", "abc"), ("--maps", "x"),
+                                  ("--twod", "2"), ("--twod", "2:x")])
+def test_malformed_spec_flag_is_usage_error(tmp_path, flag):
+    proc = _run_cli(["train", "--model", "arc2", "--train", "t.pairs", "--val", "v.pairs",
+                     "--out", str(tmp_path / "m.ckpt"), "--random-embeddings", *flag])
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

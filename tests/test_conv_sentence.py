@@ -37,6 +37,29 @@ def test_conv_gate_zeroes_output_despite_bias():
     assert out[1].all()      # half-padding window still computes
 
 
+@pytest.mark.parametrize("sum_rows", [False, True])
+def test_depth_zero_encoder_reads_out_the_word_rows(sum_rows):
+    rng = make_rng(3)
+    x = rng.normal(size=(2, 5, 3))
+    config = SentenceModelConfig(embed_dim=3, max_len=None if sum_rows else 5,
+                                 windows=(), feature_maps=(), sum_rows=sum_rows)
+    params = init_sentence_params(config, rng)
+    vec, trace = encode(x, params, config)
+    assert np.array_equal(vec, x.sum(axis=1) if sum_rows else x.reshape(2, 15))
+    assert vec.shape[-1] == config.output_len
+    up = rng.normal(size=vec.shape)
+    grads, dx = encode_backward(trace, params, config, up)
+    assert grads == []
+    assert np.array_equal(dx, np.repeat(up[:, None, :], 5, axis=1) if sum_rows
+                          else up.reshape(x.shape))
+
+
+def test_open_max_len_needs_summed_rows():
+    with pytest.raises(ConfigError):
+        SentenceModelConfig(embed_dim=3, max_len=None, windows=(),
+                            feature_maps=()).validate()
+
+
 def test_conv_rejects_short_input():
     with pytest.raises(ShapeError):
         conv1d_gated(np.ones((2, 1)), np.ones((1, 3)), np.zeros(1), 3)
