@@ -9,6 +9,32 @@ the flattened result feeds the MLP head.
 The pair gate fires only when the *whole* concatenated pair segment is
 zero; a window pairing padding on one side with words on the other is
 computed normally.
+
+The first layer is computed already pooled, so no n x n x F grid is built.
+Its pre-activation is pre[i, j] = px[i] + py[j], with px = seg_x @ Wx.T + b
+and py = seg_y @ Wy.T. Rounded addition is monotone, so the maximum of pre
+over a 2x2 block is exactly max(px[2m], px[2m+1]) + max(py[2k], py[2k+1]),
+and because ReLU and sigmoid are monotone too, the pool is taken before
+the activation, at a quarter of the cells.
+
+Gated cells and the zero pad of an odd side read 0, which no activated
+live cell falls below. So a block's value is the activation of the
+maximum over its live cells, max(Ax_live + Ay_all, Ax_all + Ay_live): a
+side's _all maximum covers both of its windows in the block, and its _live
+maximum drops its zero windows (as -inf). A block with no live cell pools
+to 0. Forward skips the _live terms for a stack in which no pair has a
+gated cell: one side of each pair then has no zero window, so its _live
+maximum is its _all maximum.
+
+Backward routes each block's gradient to its winner, the first maximum in
+row-major block order as maxpool2d picks it, adding it to the winner's x
+window in gx and its y window in gy; each window's gradients add in the
+same order as row and column sums over the full grid would add them.
+The winners are read off px and py, which matches the rounded sums unless
+two different sums px[i] + py[j] round to one value; with sigmoid, the
+pooled values also rely on the activation being monotone in floating
+point. Outside those cases, scores and gradients are bitwise those of the
+full grid.
 """
 
 from dataclasses import dataclass, field
@@ -79,8 +105,7 @@ class Arc2Params:
 
 @dataclass
 class GridLayerTrace:
-    seg: np.ndarray | None  # 2D-conv input windows [..., oi, oj, k*k*F_in];
-                            # None for the first layer
+    seg: np.ndarray         # input windows [..., oi, oj, k*k*F_in]
     pre: np.ndarray
     gate: np.ndarray        # [..., ni, nj] 0/1
     conv_out: np.ndarray    # [..., ni, nj, F]
@@ -88,31 +113,87 @@ class GridLayerTrace:
 
 
 @dataclass
-class Arc2Trace:
-    seg_x: np.ndarray
+class PairLayerTrace:
+    """The first layer's trace, held at pooled resolution.
+
+    Each side keeps its sentence's own leading shape. Cell (i, j) is live
+    when x window i or y window j is not all zero. The full-resolution
+    pre, gate and conv_out are rebuilt on each access.
+    """
+    seg_x: np.ndarray       # [..., n, k1*D]
     seg_y: np.ndarray
+    px: np.ndarray          # seg_x @ Wx.T + b [..., n, F]
+    py: np.ndarray          # seg_y @ Wy.T
+    live_x: np.ndarray      # [..., n] bool
+    live_y: np.ndarray
+    activation: str
+    pool_out: np.ndarray    # [..., ceil(n/2), ceil(n/2), F]
+
+    @property
+    def pre(self) -> np.ndarray:
+        return _grid_sum(self.px, self.py)
+
+    @property
+    def gate(self) -> np.ndarray:
+        return _grid_or(self.live_x, self.live_y).astype(np.float64)
+
+    @property
+    def conv_out(self) -> np.ndarray:
+        out = activate(self.pre, self.activation)
+        out[self.gate == 0.0] = 0.0
+        return out
+
+
+@dataclass
+class Arc2Trace:
     layers: list = field(default_factory=list)
     head: object = None
     score: float = 0.0
 
 
+def _halves(p: np.ndarray, live=None):
+    """The two windows of each 2-window block of p [..., n, F], as
+    (first, second) [..., ceil(n/2), F]. Windows not flagged in live
+    ([..., n] bool) and the missing second window of an odd side read
+    -inf, below every value."""
+    if live is not None:
+        p = np.where(live[..., None], p, -np.inf)
+    first, second = p[..., 0::2, :], p[..., 1::2, :]
+    if p.shape[-2] % 2:
+        second = np.concatenate([second, np.full_like(first[..., -1:, :], -np.inf)],
+                                axis=-2)
+    return first, second
+
+
+def _grid_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a [..., m, F] along rows + b [..., m, F] along columns: [..., m, m, F]."""
+    return a[..., :, None, :] + b[..., None, :, :]
+
+
+def _grid_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] | b[..., None, :]
+
+
 def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
                        activation: str = "relu"):
-    """First-layer convolution over all segment pairs.
+    """First-layer convolution over all segment pairs, max-pooled 2x2.
 
     sx and sy are sentences or stacks [..., L, D] whose leading dimensions
-    broadcast. Returns (grid [..., n, n, F], gate [..., n, n], pre, seg_x,
-    seg_y) where n is the number of window positions. Cell (i, j) sees x
-    rows i..i+k1-1 concatenated with y rows j..j+k1-1; its gate is 0 only
-    when that whole concatenation is zero.
+    broadcast. Returns (pooled [..., ceil(n/2), ceil(n/2), F], gate
+    [..., n, n], PairLayerTrace) where n is the number of window positions.
+    Cell (i, j) sees x rows i..i+k1-1 concatenated with y rows j..j+k1-1;
+    its gate is 0 only when that whole concatenation is zero. The pooled
+    output equals maxpool2d of the gated n x n grid (see the module
+    docstring), which is never built.
     """
     x, y = sentence_matrix(sx), sentence_matrix(sy)
     if x.shape[-2:] != y.shape[-2:]:
         raise ShapeError(f"sentence matrices differ: {x.shape} vs {y.shape}")
-    try:
-        np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"sentence stacks do not broadcast: {x.shape} vs {y.shape}")
+    if x.shape != y.shape:
+        try:
+            np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"sentence stacks do not broadcast: {x.shape} vs {y.shape}")
     l_max, dim = x.shape[-2:]
     if l_max < k1:
         raise ShapeError(f"window {k1} does not fit padded length {l_max}")
@@ -126,13 +207,19 @@ def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
     half = k1 * dim
     px = seg_x @ w[:, :half].T + b                 # [..., n, F]
     py = seg_y @ w[:, half:].T
-    pre = px[..., :, None, :] + py[..., None, :, :]       # [..., n, n, F]
-    zero_x = ~seg_x.any(axis=-1)
-    zero_y = ~seg_y.any(axis=-1)
-    gate = (~(zero_x[..., :, None] & zero_y[..., None, :])).astype(np.float64)
-    out = activate(pre, activation)
-    out[gate == 0.0] = 0.0  # on this largest grid, cheaper than a product
-    return out, gate, pre, seg_x, seg_y
+    live_x, live_y = seg_x.any(axis=-1), seg_y.any(axis=-1)
+    cells = _grid_or(live_x, live_y)
+    top_x, top_y = np.maximum(*_halves(px)), np.maximum(*_halves(py))
+    if cells.all():
+        pre = _grid_sum(top_x, top_y)
+    else:
+        pre = np.maximum(_grid_sum(np.maximum(*_halves(px, live_x)), top_y),
+                         _grid_sum(top_x, np.maximum(*_halves(py, live_y))))
+    pooled = activate(pre, activation)
+    gate = cells.astype(np.float64)
+    lt = PairLayerTrace(seg_x=seg_x, seg_y=seg_y, px=px, py=py, live_x=live_x,
+                        live_y=live_y, activation=activation, pool_out=pooled)
+    return pooled, gate, lt
 
 
 def _pad_even(z: np.ndarray) -> np.ndarray:
@@ -226,14 +313,10 @@ class Arc2Model:
         """Score a pair, or stacks [..., L, D] of pairs with broadcasting
         leading dimensions; returns (score(s), trace)."""
         cfg = self.config
-        out, gate, pre, seg_x, seg_y = interaction_conv1d(
+        z, _, first = interaction_conv1d(
             sx, sy, self.params.w1, self.params.b1, cfg.window1, cfg.activation
         )
-        trace = Arc2Trace(seg_x=seg_x, seg_y=seg_y)
-        pooled, _ = maxpool2d(out, sources=False)
-        trace.layers.append(GridLayerTrace(seg=None, pre=pre, gate=gate,
-                                           conv_out=out, pool_out=pooled))
-        z = pooled
+        trace = Arc2Trace(layers=[first])
         for (k, _), (w, b) in zip(cfg.twod_layers, self.params.twod):
             out, gate, pre, seg = conv2d_gated(z, w, b, k, cfg.activation)
             pooled, _ = maxpool2d(out, sources=False)
@@ -276,14 +359,13 @@ class Arc2Model:
                 ]
 
         lt = trace.layers[0]
-        dpre = _pool2d_backward(dz, lt, cfg.activation)
-        # each sentence's windows feed a whole grid row (x) or column (y);
+        gx, gy = _pair_pool_backward(dz, lt)
         # pairs that share a sentence through broadcasting add up on it
-        f_out = dpre.shape[-1]
-        gx = sum_to_shape(dpre.sum(axis=-2), trace.seg_x.shape[:-1] + (f_out,))
-        gy = sum_to_shape(dpre.sum(axis=-3), trace.seg_y.shape[:-1] + (f_out,))
+        f_out = gx.shape[-1]
+        seg_x, seg_y = lt.seg_x, lt.seg_y
+        gx = sum_to_shape(gx, seg_x.shape[:-1] + (f_out,))
+        gy = sum_to_shape(gy, seg_y.shape[:-1] + (f_out,))
         half = cfg.window1 * cfg.embed_dim
-        seg_x, seg_y = trace.seg_x, trace.seg_y
         grads["w1"] = np.concatenate(
             [gx.reshape(-1, f_out).T @ seg_x.reshape(-1, half),
              gy.reshape(-1, f_out).T @ seg_y.reshape(-1, half)], axis=1)
@@ -313,6 +395,48 @@ def _pool2d_backward(dz: np.ndarray, lt: GridLayerTrace, activation: str) -> np.
     dpre *= _pool_winners(_pad_even(lt.conv_out), lt.pool_out)
     ni, nj = lt.conv_out.shape[-3:-1]
     return dpre[..., :ni, :nj, :]
+
+
+def _pair_pool_backward(dz: np.ndarray, lt: PairLayerTrace):
+    """Per-pair gradients (gx, gy) [..., n, F] w.r.t. px and py from the
+    gradient w.r.t. the first layer's pooled output.
+
+    Each block passes its gradient to its winner, the first live cell in
+    row-major block order whose pre-activation is the block's maximum (as
+    maxpool2d picks it): cell (i, j) adds it to row i of gx and row j of gy.
+    Gradients of synthetic pad windows are dropped.
+    """
+    g = dz * activate_grad_from_output(lt.pool_out, lt.activation)
+    # the live maxima are those of a live x window against any y window
+    # (t1) and of any x window against a live y window (t2); each one's
+    # first cell, as a row-major block index 2 * row + col, competes, and
+    # the earlier one wins a tie
+    (first_x, second_x), (first_y, second_y) = _halves(lt.px), _halves(lt.py)
+    live_first_x, live_second_x = _halves(lt.px, lt.live_x)
+    live_first_y, live_second_y = _halves(lt.py, lt.live_y)
+    t1 = _grid_sum(np.maximum(live_first_x, live_second_x), np.maximum(first_y, second_y))
+    t2 = _grid_sum(np.maximum(first_x, second_x), np.maximum(live_first_y, live_second_y))
+    idx1 = _grid_sum(2 * (live_second_x > live_first_x).view(np.int8),
+                     (second_y > first_y).view(np.int8))
+    idx2 = _grid_sum(2 * (second_x > first_x).view(np.int8),
+                     (live_second_y > live_first_y).view(np.int8))
+    win = np.minimum(np.where(t1 >= t2, idx1, 4), np.where(t2 >= t1, idx2, 4))
+    gx = _route(g, win >= 2, axis=-2)
+    gy = _route(g, (win & 1).view(np.bool_), axis=-3)
+    n = lt.px.shape[-2]
+    return gx[..., :n, :], gy[..., :n, :]
+
+
+def _route(g: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
+    """Interleave the gradient of each block's first and second window
+    [..., 2m, F]: g summed over `axis` where `second` is False, and where it
+    is True."""
+    first_sum = np.where(second, 0.0, g).sum(axis=axis)
+    second_sum = np.where(second, g, 0.0).sum(axis=axis)
+    out = np.empty((*first_sum.shape[:-2], 2 * first_sum.shape[-2], first_sum.shape[-1]))
+    out[..., 0::2, :] = first_sum
+    out[..., 1::2, :] = second_sum
+    return out
 
 
 def build_arc2(embed_dim: int, max_len: int, rng,

@@ -120,7 +120,8 @@ def build_model_from_kv(kv: dict, rng=None):
     """Rebuild a model skeleton from a config mapping (fresh random params).
 
     A missing key, or a value that does not parse as its type, raises
-    CheckpointShapeError naming the key.
+    CheckpointShapeError naming the key; so do keys that parse but
+    describe no valid model, naming the kind.
     """
     kind = kv.get("kind")
     if kind not in KINDS:
@@ -135,7 +136,10 @@ def build_model_from_kv(kv: dict, rng=None):
             arguments[key.arg or k] = key.parse(kv[k])
         except ValueError:
             raise CheckpointShapeError(f"config key {k!r} has invalid value {kv[k]!r}")
-    return build_model(kind, arguments, rng if rng is not None else make_rng(0))
+    try:
+        return build_model(kind, arguments, rng if rng is not None else make_rng(0))
+    except ConfigError as err:
+        raise CheckpointShapeError(f"config describes an invalid {kind} model: {err}") from err
 
 
 def param_vector(model) -> np.ndarray:

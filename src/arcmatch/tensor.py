@@ -36,9 +36,13 @@ def named_layers(prefix: str, layers) -> list:
 
 def sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
     """Adjoint of broadcasting: sum g over the leading axes that
-    broadcasting added in front of an array of `shape`."""
+    broadcasting added in front of an array of `shape`, and over the axes
+    it stretched from size 1."""
     extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra))) if extra else g
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -71,10 +71,11 @@ def _refresh(sent: EncodedSentence, table) -> None:
 
 # Triples stacked into one forward and one backward call. Larger chunks
 # spread the per-call Python overhead over more triples but hold larger
-# traces: on the README configurations, an SGD batch of all five models
-# added 3 MB of peak memory with chunks of 8, 6 MB with 16 (a fifth
-# faster) and 25 MB with 64 (no faster than 16).
-CHUNK_TRIPLES = 8
+# traces. On the README configurations, 12 SGD batches of 64 triples per
+# model (all five, one BLAS thread, best of 3) took 0.38 s with chunks of
+# 8, 0.29 s with 16, 0.29 s with 32 and 0.36 s with 64, and added 1.4,
+# 1.5, 5.1 and 12.4 MB of peak memory; ARC-II alone is fastest at 16.
+CHUNK_TRIPLES = 16
 
 
 def _stack(sents, table):
@@ -286,7 +287,9 @@ def _trace_kink_distance(model, trace) -> float:
 
     Central differences are only valid away from relu kinks, pooling ties
     and the hinge kink; gradient_check resamples draws too close to one.
-    Every builder gives the conv layers the head's activation.
+    Every builder gives the conv layers the head's activation. ARC-II's
+    first layer keeps no full grid and rebuilds pre, gate and conv_out on
+    each access, so each is read once per layer here.
     """
     relu = model.head.activation == "relu"
     dist = np.inf
@@ -295,9 +298,11 @@ def _trace_kink_distance(model, trace) -> float:
             if pre.size:
                 dist = min(dist, float(np.abs(pre).min()))
     for lt in trace.layers:
-        active = np.broadcast_to((lt.gate > 0)[..., None], lt.pre.shape)
-        if relu and active.any():
-            dist = min(dist, float(np.abs(lt.pre[active]).min()))
+        if relu:
+            pre = lt.pre
+            active = np.broadcast_to((lt.gate > 0)[..., None], pre.shape)
+            if active.any():
+                dist = min(dist, float(np.abs(pre[active]).min()))
         dist = min(dist, _pool_gap(lt))
     return dist
 

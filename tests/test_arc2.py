@@ -1,13 +1,16 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
 from arcmatch.arc1 import build_arc1
-from arcmatch.arc2 import (build_arc2, conv2d_gated, embed_arc1_as_arc2,
-                           interaction_conv1d, maxpool2d)
+from arcmatch.arc2 import (_pair_pool_backward, build_arc2, conv2d_gated,
+                           embed_arc1_as_arc2, interaction_conv1d, maxpool2d)
 from arcmatch.conv_sentence import encode
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector, set_param_vector
-from arcmatch.tensor import finite_diff, make_rng
+from arcmatch.tensor import activate_grad_from_output, finite_diff, make_rng
 
 from conftest import random_sentence, sentence_from_matrix, small_table
 from reference import ref_arc2_score, ref_arc2_stack
@@ -23,8 +26,8 @@ def test_interaction_tiny_hand_case():
     # one-word windows, scalar embeddings: cell (i, j) = x_i + y_j
     sx = sentence_from_matrix(np.array([[1.0], [2.0]]))
     sy = sentence_from_matrix(np.array([[3.0], [4.0]]))
-    out, gate, _, _, _ = interaction_conv1d(sx, sy, np.array([[1.0, 1.0]]),
-                                            np.zeros(1), 1)
+    _, gate, lt = interaction_conv1d(sx, sy, np.array([[1.0, 1.0]]), np.zeros(1), 1)
+    out = lt.conv_out
     assert out[:, :, 0].tolist() == [[4.0, 5.0], [5.0, 6.0]]
     assert gate.all()
 
@@ -35,7 +38,8 @@ def test_interaction_shape_14x14():
     sx = random_sentence(table, 16, rng)
     sy = random_sentence(table, 16, rng)
     w = np.zeros((5, 2 * 3 * 4))
-    out, gate, _, _, _ = interaction_conv1d(sx, sy, w, np.zeros(5), 3)
+    _, gate, lt = interaction_conv1d(sx, sy, w, np.zeros(5), 3)
+    out = lt.conv_out
     assert out.shape == (14, 14, 5)
 
 
@@ -48,14 +52,16 @@ def test_interaction_gate_pair_semantics():
                                          table.row("w5"), table.row("w6")]))
     w = np.ones((2, 2 * 2 * 4))
     b = np.full(2, 3.0)
-    out, gate, _, _, _ = interaction_conv1d(sx, sy, w, b, 2, "sigmoid")
+    _, gate, lt = interaction_conv1d(sx, sy, w, b, 2, "sigmoid")
+    out = lt.conv_out
     # x-window 2 covers rows 2..3: all padding; every y-window has words
     assert gate[2].all()           # one side padding, other not: gate stays on
     assert out[2].all()            # computed normally (sigmoid of bias part)
     # both sides padding cannot happen here since y has no padded window
     sy_padded = sentence_from_matrix(np.vstack([table.row("w3"), np.zeros(4),
                                                 np.zeros(4), np.zeros(4)]))
-    out2, gate2, _, _, _ = interaction_conv1d(sx, sy_padded, w, b, 2, "sigmoid")
+    _, gate2, lt2 = interaction_conv1d(sx, sy_padded, w, b, 2, "sigmoid")
+    out2 = lt2.conv_out
     assert gate2[2, 1] == 0.0      # both segments all-zero
     assert not out2[2, 1].any()    # exactly zero despite bias
     assert gate2[2, 0] == 1.0      # y window 0 still has a word
@@ -170,6 +176,187 @@ def test_permuting_padding_region_changes_nothing():
     assert s1 == s2
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
     assert np.array_equal(dy1, dy2)
+
+
+# --- first layer pooled before it becomes a grid -----------------------------
+
+
+def _int_sentences(rng, shape, dim=2):
+    """Small-integer sentence matrices [*shape, L, dim] with about a third
+    of the rows all zero, so that both sides have dead windows and exact
+    ties are common."""
+    x = rng.integers(-2, 3, size=(*shape, dim)).astype(np.float64)
+    x[rng.random(shape) < 0.35] = 0.0
+    return x
+
+
+def _int_layer(rng, k1, dim=2, maps=3):
+    return (rng.integers(-2, 3, size=(maps, 2 * k1 * dim)).astype(np.float64),
+            rng.integers(-1, 2, size=maps).astype(np.float64))
+
+
+def _loop_pair_pool_backward(lt, dz):
+    """Oracle: walk each 2x2 block of the full gated grid and route its
+    gradient to the first maximum in row-major block order."""
+    out = lt.conv_out
+    n = out.shape[0]
+    gx, gy = np.zeros(lt.px.shape), np.zeros(lt.py.shape)
+    for bi, bj, c in np.ndindex(dz.shape):
+        cells = [(i, j) for i in (2 * bi, 2 * bi + 1) for j in (2 * bj, 2 * bj + 1)]
+        vals = [out[i, j, c] if i < n and j < n else 0.0 for i, j in cells]
+        i, j = cells[vals.index(max(vals))]
+        g = dz[bi, bj, c] * activate_grad_from_output(np.array(max(vals)), lt.activation)
+        if i < n and j < n:
+            gx[i, c] += g
+            gy[j, c] += g
+    return gx, gy
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("max_len", [7, 8, 11])
+def test_pooled_first_layer_equals_maxpool_of_the_grid(activation, max_len):
+    rng = make_rng(80 + max_len)
+    gated = 0
+    for trial in range(20):
+        k1 = 1 + trial % 3
+        if trial % 2:
+            w, b = _int_layer(rng, k1)
+            x, y = _int_sentences(rng, (max_len,)), _int_sentences(rng, (max_len,))
+        else:
+            w, b = rng.normal(size=(3, 4 * k1)), rng.normal(size=3)
+            x, y = rng.normal(size=(max_len, 2)), rng.normal(size=(max_len, 2))
+            x[rng.integers(max_len // 2, max_len):] = 0.0
+            y[rng.integers(max_len // 2, max_len):] = 0.0
+        pooled, gate, lt = interaction_conv1d(x, y, w, b, k1, activation)
+        assert np.array_equal(pooled, maxpool2d(lt.conv_out, sources=False)[0])
+        assert np.array_equal(gate, lt.gate)
+        gated += not gate.all()
+    assert gated >= 5
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_pooled_first_layer_backward_routes_to_first_row_major_max(activation):
+    rng = make_rng(90)
+    ties = gated = 0
+    for trial in range(150):
+        max_len, k1 = int(rng.integers(2, 10)), 1 + trial % 2
+        if max_len < k1 + 1:
+            continue
+        w, b = _int_layer(rng, k1)
+        x, y = _int_sentences(rng, (max_len,)), _int_sentences(rng, (max_len,))
+        pooled, gate, lt = interaction_conv1d(x, y, w, b, k1, activation)
+        dz = rng.normal(size=pooled.shape)
+        gx, gy = _pair_pool_backward(dz, lt)
+        want_x, want_y = _loop_pair_pool_backward(lt, dz)
+        assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y), trial
+        grid = np.pad(lt.conv_out, ((0, lt.px.shape[0] % 2),) * 2 + ((0, 0),))
+        blocks = np.stack([grid[di::2, dj::2] for di in (0, 1) for dj in (0, 1)])
+        ties += int(((blocks == pooled).sum(axis=0) > 1)[pooled > 0].sum())
+        gated += not gate.all()
+    assert ties >= 50 and gated >= 30
+
+
+def test_pooled_first_layer_stacked_equals_per_item():
+    rng = make_rng(91)
+    w, b = _int_layer(rng, 2)
+    x = _int_sentences(rng, (4, 9))
+    y = _int_sentences(rng, (2, 4, 9))
+    y[0, 1] = rng.normal(size=(9, 2))   # a pair without dead y windows
+    for activation in ("relu", "sigmoid"):
+        pooled, gate, lt = interaction_conv1d(x, y, w, b, 2, activation)
+        # the stack takes the live terms; pair (0, 1) alone skips them
+        assert not gate.all() and gate[0, 1].all()
+        dz = rng.normal(size=pooled.shape)
+        gx, gy = _pair_pool_backward(dz, lt)
+        for s, c in np.ndindex(2, 4):
+            p1, g1, lt1 = interaction_conv1d(x[c], y[s, c], w, b, 2, activation)
+            gx1, gy1 = _pair_pool_backward(dz[s, c], lt1)
+            assert np.array_equal(pooled[s, c], p1) and np.array_equal(gate[s, c], g1)
+            assert np.array_equal(gx[s, c], gx1) and np.array_equal(gy[s, c], gy1)
+
+
+def test_stacked_route_equals_per_pair_route_when_sums_round_together():
+    # pair 0 has no gated cell (y has no zero window), so alone its forward
+    # skips the live terms; pair 1 has one, so their stack takes them. px
+    # of pair 0 is [1 - 2**-52, 1] against py = [4, 4]: every sum rounds to
+    # 5.0. Backward reads the winner off the pair's own windows, so it is
+    # the same alone and stacked, and here it is the full grid's first
+    # maximum, row 0
+    w, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    x = np.array([[[-2.0 ** -52], [0.0]], [[1.0], [0.0]]])
+    y = np.array([[[4.0], [4.0]], [[2.0], [0.0]]])
+    pooled, gate, lt = interaction_conv1d(x, y, w, b, 1)
+    assert not gate.all() and gate[0].all()
+    dz = np.ones(pooled.shape)
+    gx, gy = _pair_pool_backward(dz, lt)
+    for c in range(2):
+        p1, _, lt1 = interaction_conv1d(x[c], y[c], w, b, 1)
+        gx1, gy1 = _pair_pool_backward(dz[c], lt1)
+        assert np.array_equal(pooled[c], p1)
+        assert np.array_equal(gx[c], gx1) and np.array_equal(gy[c], gy1)
+        want_x, want_y = _loop_pair_pool_backward(lt1, dz[c])
+        assert np.array_equal(gx1, want_x) and np.array_equal(gy1, want_y)
+
+
+def _arrays(obj):
+    """Every numpy array reachable from a trace object."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def _arrays_made_during(fn):
+    """Run fn, collecting every array bound to a local name or returned in
+    the arcmatch frames it runs."""
+    seen = []
+
+    def local(frame, event, arg):
+        seen.extend(v for v in frame.f_locals.values() if isinstance(v, np.ndarray))
+        if event == "return":
+            seen.extend(_arrays(arg))
+        return local
+
+    def calls(frame, event, arg):
+        return local if "arcmatch" in frame.f_code.co_filename else None
+
+    sys.settrace(calls)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(None)
+    return result, seen
+
+
+def test_stacked_trace_and_backward_hold_no_full_grid():
+    table = small_table()
+    rng = make_rng(92)
+    model = build_arc2(4, 9, make_rng(93), window1=3, maps1=5,
+                       twod_layers=((2, 4),), hidden=(6,))
+    n, f, m = 7, 5, 4
+    x = np.stack([random_sentence(table, 9, rng, max_tokens=5).x for _ in range(3)])
+    y = np.stack([[random_sentence(table, 9, rng, max_tokens=5).x for _ in range(3)]
+                  for _ in range(2)])
+    pairs = 6
+
+    def full_grid(a):
+        return a.shape[-3:] in ((n, n, f), (2 * m, 2 * m, f)) or a.size >= pairs * n * n * f
+
+    (scores, trace), made = _arrays_made_during(lambda: model.score(x, y))
+    assert not trace.layers[0].live_x.all()   # the gated route ran
+    assert made and not any(full_grid(a) for a in made)
+    assert not any(full_grid(a) for a in _arrays(trace))
+    _, made = _arrays_made_during(lambda: model.backward(trace, np.ones(scores.shape)))
+    assert made and not any(full_grid(a) for a in made)
+    # the trace still rebuilds the full grid when asked
+    assert trace.layers[0].conv_out.shape == (2, 3, n, n, f)
 
 
 # --- order preservation ------------------------------------------------------

@@ -76,15 +76,18 @@ def test_interaction_conv1d_broadcasts_x_against_stacked_y():
     xs = [random_sentence(table, MAX_LEN, rng) for _ in range(3)]
     ys = [[random_sentence(table, MAX_LEN, rng) for _ in range(3)] for _ in range(2)]
     w, b = rng.normal(size=(5, 2 * 3 * 4)), rng.normal(size=5)
-    out, gate, pre, seg_x, seg_y = interaction_conv1d(
+    pooled, gate, lt = interaction_conv1d(
         _stack(xs), np.stack([_stack(row) for row in ys]), w, b, 3, "relu")
+    out, pre, seg_x, seg_y = lt.conv_out, lt.pre, lt.seg_x, lt.seg_y
     assert out.shape == (2, 3, 7, 7, 5) and seg_x.shape == (3, 7, 12)
     for s in range(2):
         for c in range(3):
-            o1, g1, p1, sx1, sy1 = interaction_conv1d(xs[c], ys[s][c], w, b, 3, "relu")
+            q1, g1, lt1 = interaction_conv1d(xs[c], ys[s][c], w, b, 3, "relu")
+            o1, p1, sx1, sy1 = lt1.conv_out, lt1.pre, lt1.seg_x, lt1.seg_y
             assert _same(out[s, c], o1) and _same(gate[s, c], g1)
             assert _same(pre[s, c], p1)
             assert _same(seg_x[c], sx1) and _same(seg_y[s, c], sy1)
+            assert _same(pooled[s, c], q1)
 
 
 def test_conv2d_gated_stacked_equal_per_item():
@@ -147,6 +150,31 @@ def test_model_score_stacked_equals_per_pair(kind):
     for s in range(2):
         for c in range(3):
             assert scores[s, c] == model.score(xs[c], ys[s][c])[0]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_model_backward_sums_a_size_one_axis_stretched_by_broadcasting(kind):
+    # x [1, L, D] against y [3, L, D]: the three pairs share x, so dx keeps
+    # x's shape and holds the sum of their gradients
+    table = small_table()
+    rng = make_rng(14)
+    model = BUILDERS[kind](make_rng(15))
+    x = random_sentence(table, MAX_LEN, rng)
+    ys = [random_sentence(table, MAX_LEN, rng) for _ in range(3)]
+    scores, trace = model.score(x.x[None], _stack(ys))
+    grads, dx, dy = model.backward(trace, np.ones(scores.shape))
+    assert dx.shape == (1, MAX_LEN, 4) and dy.shape == (3, MAX_LEN, 4)
+    want = {name: 0.0 for name in grads}
+    want_dx = 0.0
+    for c, y in enumerate(ys):
+        _, trace1 = model.score(x, y)
+        grads1, dx1, dy1 = model.backward(trace1, 1.0)
+        want = {name: want[name] + g for name, g in grads1.items()}
+        want_dx = want_dx + dx1
+        assert np.allclose(dy[c], dy1, rtol=1e-12, atol=1e-15)
+    assert np.allclose(dx[0], want_dx, rtol=1e-12, atol=1e-15)
+    for name, g in grads.items():
+        assert np.allclose(g, want[name], rtol=1e-12, atol=1e-15), name
 
 
 # ---- sgd_step: chunked batch == summed per-pair score/backward -------------
@@ -227,7 +255,8 @@ def _check_step(setting, batch, table, model_fn):
 def test_sgd_step_matches_summed_per_pair_backward(kind, setting):
     s = SETTINGS[setting]
     table = small_table()
-    batch = _triples(table, 11, make_rng(8))  # not a multiple of the chunk
+    # two full chunks and a partial one
+    batch = _triples(table, 2 * CHUNK_TRIPLES + 3, make_rng(8))
     assert len(batch) % CHUNK_TRIPLES
     model_fn = functools.partial(_sharpened, kind, s["activation"], s["dropout"])
     hinges = _hinges(model_fn(), batch)
@@ -242,7 +271,7 @@ def test_all_satisfied_batch_is_bitwise_noop(kind):
     table = small_table()
     model = _sharpened(kind, "relu", 0.0)
     satisfied = []
-    for t in _triples(table, 40, make_rng(10)):
+    for t in _triples(table, 5 * CHUNK_TRIPLES, make_rng(10)):
         hinge_fwd, hinge_rev = _hinges(model, [t, Triple(t.x, t.y_neg, t.y_pos)])
         if hinge_fwd == 0.0:
             satisfied.append(t)
@@ -259,7 +288,7 @@ def test_all_satisfied_batch_is_bitwise_noop(kind):
 
 def test_sgd_step_stacks_x_and_y_sides_of_different_lengths():
     table = small_table()
-    batch = _triples(table, 11, make_rng(12), y_len=MAX_LEN + 3)
+    batch = _triples(table, 2 * CHUNK_TRIPLES + 3, make_rng(12), y_len=MAX_LEN + 3)
     def model_fn():
         return build_arc1(4, MAX_LEN, make_rng(13), windows=(3, 2), feature_maps=(3, 2),
                           hidden=(6,), max_len_y=MAX_LEN + 3, activation="sigmoid",

@@ -6,7 +6,7 @@ from arcmatch.arc2 import build_arc2
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from arcmatch.errors import (CheckpointChecksumError, CheckpointShapeError,
-                             CheckpointVersionError, ConfigError)
+                             CheckpointVersionError)
 from arcmatch.models import param_vector
 from arcmatch.tensor import make_rng
 
@@ -109,7 +109,7 @@ def test_arc1_header_with_an_empty_stack_is_rejected(tmp_path, keys):
         at = next(i for i, line in enumerate(lines) if line.startswith(key.encode() + b"="))
         lines[at] = key.encode() + b"="
     path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ConfigError):
+    with pytest.raises(CheckpointShapeError, match="invalid arc1 model"):
         load_checkpoint(path)
 
 

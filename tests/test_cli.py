@@ -266,6 +266,26 @@ def test_bad_checkpoint_config_key_is_data_error(trained, synth_dir, tmp_path,
     assert f"'{key}'" in proc.stderr
 
 
+def test_checkpoint_describing_an_invalid_model_is_data_error(trained, tmp_path):
+    # every key parses, but an arc1 model needs at least one conv window
+    from arcmatch.arc1 import build_arc1
+    from arcmatch.checkpoint import save_checkpoint
+    from arcmatch.tensor import make_rng
+    path = tmp_path / "arc1.ckpt"
+    save_checkpoint(path, build_arc1(8, 12, make_rng(0), windows=(3, 2),
+                                     feature_maps=(4, 4), hidden=(8,)))
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b"windows="))
+    lines[at] = b"windows="
+    path.write_bytes(b"\n".join(lines))
+    proc = _run_cli(["score", "--checkpoint", str(path),
+                     "--embeddings", str(trained) + ".embeddings.txt",
+                     "--x", "t0w1 t0w2", "--y", "t0w1"])
+    assert proc.returncode == 2, proc.stderr
+    assert "data error:" in proc.stderr and "arc1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag", [("--hidden", "abc"), ("--maps", "x"),
                                   ("--twod", "2"), ("--twod", "2:x")])
 def test_malformed_spec_flag_is_usage_error(tmp_path, flag):
