@@ -4,16 +4,20 @@ Layer 1 slides a window over each sentence and convolves every (x-segment,
 y-segment) pair into a grid of feature vectors, letting the two sentences
 interact before either has a mature representation. The grid then goes
 through alternating 2x2 max-pooling and gated square 2D convolutions, and
-the flattened result feeds the MLP head.
+the flattened result feeds the MLP head. The 2D layers are the sentence
+model's conv-and-pool layer with two spatial axes (conv_sentence.py): a
+2x2 block goes to its first maximum in row-major order, which is pooling
+column pairs, then row pairs, each tie going to the first member.
 
 The pair gate fires only when the *whole* concatenated pair segment is
 zero; a window pairing padding on one side with words on the other is
 computed normally.
 
 The first layer is computed already pooled, so no n x n x F grid is built.
-Its pre-activation is pre[i, j] = px[i] + py[j], with px = seg_x @ Wx.T + b
-and py = seg_y @ Wy.T. Rounded addition is monotone, so the maximum of pre
-over a 2x2 block is exactly max(px[2m], px[2m+1]) + max(py[2k], py[2k+1]),
+Its pre-activation is pre[i, j] = px[i] + py[j], where px = seg_x @ Wx.T + b
+and py = seg_y @ Wy.T are each sentence's 1D convolution before its
+activation. Rounded addition is monotone, so the maximum of pre over a
+2x2 block is exactly max(px[2m], px[2m+1]) + max(py[2k], py[2k+1]),
 and because ReLU and sigmoid are monotone too, the pool is taken before
 the activation, at a quarter of the cells.
 
@@ -37,12 +41,15 @@ point. Outside those cases, scores and gradients are bitwise those of the
 full grid.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arc1 import Arc1Model
-from .conv_sentence import _unstack_windows, _window_stack
+from .conv_sentence import (ConvLayerTrace, conv_backward, conv_pre, conv_pre_backward,
+                            gated_conv, layer_extents, maxpool, pad_pairs,
+                            pair_halves, pair_join)
 from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .mlp import MlpHead, build_head, head_backward, head_forward
@@ -76,18 +83,7 @@ class Arc2Config:
 
     def grid_plan(self) -> list:
         """Spatial extents: [(conv_side, pooled_side), ...] per conv layer."""
-        n = self.max_len - self.window1 + 1
-        plan = [(n, (n + 1) // 2)]
-        side = (n + 1) // 2
-        for li, (k, _) in enumerate(self.twod_layers):
-            conv_side = side - k + 1
-            if conv_side < 1:
-                raise ConfigError(
-                    f"2D layer {li}: window {k} does not fit grid side {side}"
-                )
-            side = (conv_side + 1) // 2
-            plan.append((conv_side, side))
-        return plan
+        return layer_extents(self.max_len, (self.window1, *(k for k, _ in self.twod_layers)))
 
     @property
     def output_len(self) -> int:
@@ -101,15 +97,6 @@ class Arc2Params:
     w1: np.ndarray          # [maps1, 2 * window1 * embed_dim]
     b1: np.ndarray
     twod: list              # per 2D layer: (w [F, k*k*F_prev], b [F])
-
-
-@dataclass
-class GridLayerTrace:
-    seg: np.ndarray         # input windows [..., oi, oj, k*k*F_in]
-    pre: np.ndarray
-    gate: np.ndarray        # [..., ni, nj] 0/1
-    conv_out: np.ndarray    # [..., ni, nj, F]
-    pool_out: np.ndarray
 
 
 @dataclass
@@ -148,7 +135,6 @@ class PairLayerTrace:
 class Arc2Trace:
     layers: list = field(default_factory=list)
     head: object = None
-    score: float = 0.0
 
 
 def _halves(p: np.ndarray, live=None):
@@ -158,11 +144,7 @@ def _halves(p: np.ndarray, live=None):
     -inf, below every value."""
     if live is not None:
         p = np.where(live[..., None], p, -np.inf)
-    first, second = p[..., 0::2, :], p[..., 1::2, :]
-    if p.shape[-2] % 2:
-        second = np.concatenate([second, np.full_like(first[..., -1:, :], -np.inf)],
-                                axis=-2)
-    return first, second
+    return pair_halves(pad_pairs(p, 1, -np.inf), -2)
 
 
 def _grid_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,20 +176,10 @@ def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
             np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
         except ValueError:
             raise ShapeError(f"sentence stacks do not broadcast: {x.shape} vs {y.shape}")
-    l_max, dim = x.shape[-2:]
-    if l_max < k1:
-        raise ShapeError(f"window {k1} does not fit padded length {l_max}")
-    if w.shape[1] != 2 * k1 * dim or b.shape != (w.shape[0],):
-        raise ShapeError(
-            f"weight {w.shape} / bias {b.shape} incompatible with window {k1} "
-            f"over dim {dim} pairs"
-        )
-    seg_x = _window_stack(x, k1)                   # [..., n, k1*dim]
-    seg_y = _window_stack(y, k1)
-    half = k1 * dim
-    px = seg_x @ w[:, :half].T + b                 # [..., n, F]
-    py = seg_y @ w[:, half:].T
-    live_x, live_y = seg_x.any(axis=-1), seg_y.any(axis=-1)
+    half = k1 * x.shape[-1]
+    # the pair's bias is added once, on the x side
+    px, live_x, seg_x = conv_pre(x, w[:, :half], b, k1)     # [..., n, F]
+    py, live_y, seg_y = conv_pre(y, w[:, half:], None, k1)
     cells = _grid_or(live_x, live_y)
     top_x, top_y = np.maximum(*_halves(px)), np.maximum(*_halves(py))
     if cells.all():
@@ -222,84 +194,10 @@ def interaction_conv1d(sx, sy, w: np.ndarray, b: np.ndarray, k1: int,
     return pooled, gate, lt
 
 
-def _pad_even(z: np.ndarray) -> np.ndarray:
-    """z with odd spatial extents zero-padded to even ones."""
-    *lead, ni, nj, f = z.shape
-    if ni % 2 == 0 and nj % 2 == 0:
-        return z
-    padded = np.zeros((*lead, ni + ni % 2, nj + nj % 2, f), dtype=z.dtype)
-    padded[..., :ni, :nj, :] = z
-    return padded
-
-
-def _upsample(pooled: np.ndarray) -> np.ndarray:
-    """Each pooled cell copied over its 2x2 block."""
-    return np.repeat(np.repeat(pooled, 2, axis=-3), 2, axis=-2)
-
-
-def _pool_winners(padded: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """Mask of each block's winner: the first member, in row-major block
-    order (0,0), (0,1), (1,0), (1,1), that equals the pooled max."""
-    win = padded == _upsample(pooled)
-    *lead, ni, nj, f = win.shape
-    blocks = win.reshape(*lead, ni // 2, 2, nj // 2, 2, f)
-    seen = blocks[..., 0, :, 0, :].copy()
-    for di, dj in ((0, 1), (1, 0), (1, 1)):
-        member = blocks[..., di, :, dj, :]   # a view: clears ties in win
-        member &= ~seen
-        seen |= member
-    return win
-
-
-def maxpool2d(z: np.ndarray, sources: bool = True):
-    """Max over disjoint 2x2 blocks per channel; odd extents zero-padded.
-
-    Returns (pooled [..., ceil(ni/2), ceil(nj/2), F], source coords
-    [..., oi, oj, F, 2]). Ties resolve to the first candidate in row-major
-    order of the block. With sources=False the coords are skipped and
-    None is returned in their place; backward derives the winners itself.
-    """
-    z = _pad_even(z)
-    pooled = np.maximum(np.maximum(z[..., 0::2, 0::2, :], z[..., 0::2, 1::2, :]),
-                        np.maximum(z[..., 1::2, 0::2, :], z[..., 1::2, 1::2, :]))
-    if not sources:
-        return pooled, None
-    win = _pool_winners(z, pooled)
-    di = win[..., 1::2, 0::2, :] | win[..., 1::2, 1::2, :]
-    dj = win[..., 0::2, 1::2, :] | win[..., 1::2, 1::2, :]
-    oi, oj = pooled.shape[-3:-1]
-    rows = np.arange(oi)[:, None, None] * 2 + di
-    cols = np.arange(oj)[None, :, None] * 2 + dj
-    return pooled, np.stack([rows, cols], axis=-1)
-
-
-def conv2d_gated(z: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
-                 activation: str = "relu"):
-    """Gated 2D convolution on k x k windows of a [..., ni, nj, F_in] grid.
-
-    The receptive field is flattened row-major (row offset outer, column
-    offset middle, channel inner); the gate is 0 only when the whole field
-    is zero. Spatial extents shrink by k - 1.
-    """
-    *lead, ni, nj, f_in = z.shape
-    if ni < k or nj < k:
-        raise ShapeError(f"2D window {k} does not fit grid {ni}x{nj}")
-    if w.shape[1] != k * k * f_in or b.shape != (w.shape[0],):
-        raise ShapeError(
-            f"weight {w.shape} / bias {b.shape} incompatible with window {k} "
-            f"over {f_in} channels"
-        )
-    oi, oj = ni - k + 1, nj - k + 1
-    seg = np.concatenate(
-        [z[..., di : di + oi, dj : dj + oj, :] for di in range(k) for dj in range(k)],
-        axis=-1,
-    )                                              # [..., oi, oj, k*k*F_in]
-    # one matrix product per item over all oi*oj locations
-    pre = (seg.reshape(*lead, oi * oj, -1) @ w.T).reshape(*lead, oi, oj, -1) + b
-    gate = seg.any(axis=-1).astype(np.float64)
-    out = activate(pre, activation)
-    out *= gate[..., None]
-    return out, gate, pre, seg
+# A 2D layer's conv and pool steps: module globals that the model calls,
+# so that perfbench/tracer.py can time them.
+conv2d_gated = functools.partial(gated_conv, nd=2)
+maxpool2d = functools.partial(maxpool, nd=2)
 
 
 @dataclass
@@ -319,15 +217,13 @@ class Arc2Model:
         trace = Arc2Trace(layers=[first])
         for (k, _), (w, b) in zip(cfg.twod_layers, self.params.twod):
             out, gate, pre, seg = conv2d_gated(z, w, b, k, cfg.activation)
-            pooled, _ = maxpool2d(out, sources=False)
-            trace.layers.append(GridLayerTrace(seg=seg, pre=pre, gate=gate,
-                                               conv_out=out, pool_out=pooled))
-            z = pooled
+            z = maxpool2d(out)
+            trace.layers.append(ConvLayerTrace(nd=2, seg=seg, pre=pre, gate=gate,
+                                               conv_out=out, pool_out=z))
         # row-major: i outer, j middle, channel inner
         flat = z.reshape(*z.shape[:-3], -1)
         s, head_trace = head_forward(self.head, flat, masks)
         trace.head = head_trace
-        trace.score = s
         return s, trace
 
     def backward(self, trace: Arc2Trace, upstream):
@@ -340,38 +236,19 @@ class Arc2Model:
 
         dz = dflat.reshape(trace.layers[-1].pool_out.shape)
         for li in range(len(trace.layers) - 1, 0, -1):
-            lt = trace.layers[li]
-            k = cfg.twod_layers[li - 1][0]
-            w, _ = self.params.twod[li - 1]
-            dpre = _pool2d_backward(dz, lt, cfg.activation)
-            oi, oj, f_out = dpre.shape[-3:]
-            dpre_flat = dpre.reshape(-1, f_out)
-            grads[f"twod.{li - 1}.w"] = dpre_flat.T @ lt.seg.reshape(-1, lt.seg.shape[-1])
-            grads[f"twod.{li - 1}.b"] = dpre_flat.sum(axis=0)
-            dseg = (dpre_flat @ w).reshape(lt.seg.shape)   # [..., oi, oj, k*k*F_in]
-            z_in_shape = trace.layers[li - 1].pool_out.shape
-            f_in = z_in_shape[-1]
-            dz = np.zeros(z_in_shape, dtype=np.float64)
-            for idx in range(k * k):
-                di, dj = divmod(idx, k)
-                dz[..., di : di + oi, dj : dj + oj, :] += dseg[
-                    ..., idx * f_in : (idx + 1) * f_in
-                ]
+            (k, _), (w, _) = cfg.twod_layers[li - 1], self.params.twod[li - 1]
+            grads[f"twod.{li - 1}.w"], grads[f"twod.{li - 1}.b"], dz = conv_backward(
+                trace.layers[li], w, k, dz, cfg.activation)
 
         lt = trace.layers[0]
         gx, gy = _pair_pool_backward(dz, lt)
         # pairs that share a sentence through broadcasting add up on it
-        f_out = gx.shape[-1]
-        seg_x, seg_y = lt.seg_x, lt.seg_y
-        gx = sum_to_shape(gx, seg_x.shape[:-1] + (f_out,))
-        gy = sum_to_shape(gy, seg_y.shape[:-1] + (f_out,))
+        gx, gy = sum_to_shape(gx, lt.px.shape), sum_to_shape(gy, lt.py.shape)
         half = cfg.window1 * cfg.embed_dim
-        grads["w1"] = np.concatenate(
-            [gx.reshape(-1, f_out).T @ seg_x.reshape(-1, half),
-             gy.reshape(-1, f_out).T @ seg_y.reshape(-1, half)], axis=1)
-        grads["b1"] = gx.reshape(-1, f_out).sum(axis=0)
-        dx = _unstack_windows(gx @ self.params.w1[:, :half], cfg.window1, cfg.max_len)
-        dy = _unstack_windows(gy @ self.params.w1[:, half:], cfg.window1, cfg.max_len)
+        wx, grads["b1"], dx = conv_pre_backward(gx, lt.seg_x, self.params.w1[:, :half],
+                                                cfg.window1)
+        wy, _, dy = conv_pre_backward(gy, lt.seg_y, self.params.w1[:, half:], cfg.window1)
+        grads["w1"] = np.concatenate([wx, wy], axis=1)
         return grads, dx, dy
 
     def named_params(self):
@@ -379,22 +256,6 @@ class Arc2Model:
         return [("w1", self.params.w1), ("b1", self.params.b1),
                 *named_layers("twod", self.params.twod),
                 *named_layers("head", zip(self.head.weights, self.head.biases))]
-
-
-def _pool2d_backward(dz: np.ndarray, lt: GridLayerTrace, activation: str) -> np.ndarray:
-    """Gradient w.r.t. a layer's pre-activation from the gradient w.r.t.
-    its pooled output.
-
-    Only each block's winner (as in maxpool2d) passes gradient, and the
-    winner's output is the pooled value, so the activation derivative is
-    taken at pooled resolution. Gated-off units output exactly 0, where
-    that derivative is 0. Gradients of synthetic pad cells are dropped.
-    """
-    dpool = dz * activate_grad_from_output(lt.pool_out, activation)
-    dpre = _upsample(dpool)
-    dpre *= _pool_winners(_pad_even(lt.conv_out), lt.pool_out)
-    ni, nj = lt.conv_out.shape[-3:-1]
-    return dpre[..., :ni, :nj, :]
 
 
 def _pair_pool_backward(dz: np.ndarray, lt: PairLayerTrace):
@@ -428,15 +289,11 @@ def _pair_pool_backward(dz: np.ndarray, lt: PairLayerTrace):
 
 
 def _route(g: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
-    """Interleave the gradient of each block's first and second window
-    [..., 2m, F]: g summed over `axis` where `second` is False, and where it
-    is True."""
-    first_sum = np.where(second, 0.0, g).sum(axis=axis)
-    second_sum = np.where(second, g, 0.0).sum(axis=axis)
-    out = np.empty((*first_sum.shape[:-2], 2 * first_sum.shape[-2], first_sum.shape[-1]))
-    out[..., 0::2, :] = first_sum
-    out[..., 1::2, :] = second_sum
-    return out
+    """The gradient of each window [..., 2m, F]: g summed over `axis` onto
+    each block's first window where `second` is False, and onto its second
+    where it is True."""
+    return pair_join(np.where(second, 0.0, g).sum(axis=axis),
+                     np.where(second, g, 0.0).sum(axis=axis), -2)
 
 
 def build_arc2(embed_dim: int, max_len: int, rng,

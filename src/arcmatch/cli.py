@@ -6,6 +6,7 @@ or configuration error, 2 data error, 3 numeric failure.
 """
 
 import argparse
+import re
 import sys
 
 from . import data as dp
@@ -174,16 +175,17 @@ def _encoding_scorer(model, table, max_len, stats):
 def cmd_gen_synth(args) -> int:
     import os
 
-    parts = args.split.split("/")
-    if len(parts) != 3 or sum(int(p) for p in parts) != 100:
+    split = re.fullmatch(r"(\d+)/(\d+)/(\d+)", args.split)
+    parts = [int(p) for p in split.groups()] if split else []
+    if sum(parts) != 100:
         raise UsageError(f"--split must be three percentages summing to 100, got {args.split}")
     rng = make_rng(args.seed)
     corpus, _ = dp.gen_synthetic_corpus(args.pairs, args.vocab_size,
                                         (args.len_min, args.len_max),
                                         args.topics, rng)
     n = len(corpus.pairs)
-    n_val = n * int(parts[1]) // 100
-    n_test = n * int(parts[2]) // 100
+    n_val = n * parts[1] // 100
+    n_test = n * parts[2] // 100
     n_train = n - n_val - n_test
     os.makedirs(args.out, exist_ok=True)
     splits = {

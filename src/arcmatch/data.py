@@ -182,6 +182,8 @@ def make_eval_instances(corpus: PairCorpus, m: int, mode: str,
                         table: EmbeddingTable | None, rng: np.random.Generator,
                         stats: RunStats | None = None) -> list:
     """One ranking instance per pair: the true y among m distinct negatives."""
+    if m < 1:
+        raise ConfigError(f"a ranking instance needs at least 1 negative, got {m}")
     if len(corpus.pairs) < 2:
         raise DataError("need at least 2 pairs to build ranking instances")
     instances = []
@@ -255,22 +257,6 @@ def _synthetic_vocab(vocab_size: int, n_topics: int) -> SyntheticVocab:
     filler = [f"f{i}" for i in range(filler_count)]
     return SyntheticVocab(topic_words=topic_words, response_words=response_words,
                           filler=filler)
-
-
-def _place(content, length, filler, rng):
-    """Scatter content tokens (order kept) among filler up to `length`."""
-    n_fill = length - len(content)
-    slots = sorted(rng.choice(length, size=len(content), replace=False))
-    fills = list(rng.choice(len(filler), size=n_fill, replace=True))
-    out, ci, fi = [], 0, 0
-    for pos in range(length):
-        if ci < len(content) and pos == slots[ci]:
-            out.append(content[ci])
-            ci += 1
-        else:
-            out.append(filler[fills[fi]])
-            fi += 1
-    return out
 
 
 def gen_synthetic_corpus(n_pairs: int, vocab_size: int, len_range, n_topics: int,

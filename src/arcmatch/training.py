@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conv_sentence import pad_pairs, pair_halves
 from .embeddings import EncodedSentence, random_embeddings, encode_sentence
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .mlp import draw_dropout_masks
@@ -41,6 +42,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -258,24 +261,21 @@ def _random_sentence(table, max_len, rng):
 def _pool_gap(lt) -> float:
     """Smallest winner-vs-runner-up gap over a conv layer's pooling windows.
 
-    A one-pair trace holds either a sentence [L, F], pooled in pairs of
-    rows when it has ceil(L/2) pooled rows (for L <= 2 that is also the
-    whole-sentence max) and over all rows otherwise, or an ARC-II grid
-    [ni, nj, F], pooled in 2x2 blocks. Windows whose top value is 0 are skipped: all their inputs
+    A one-pair trace holds a sentence [L, F] or an ARC-II grid [ni, nj, F].
+    When it has ceil(n/2) pooled units along its last spatial axis, its
+    windows are the pairs of units along each axis (for L <= 2 that is also
+    the whole-sentence max); otherwise the window is the whole sentence.
+    Windows whose top value is 0 are skipped: all their inputs
     are exact zeros (gated or padded), which stay constant under parameter
     perturbation, so the tie cannot flip.
     """
     z = lt.conv_out
-    if z.ndim == 3:
-        ni, nj, f = z.shape
-        z = np.pad(z, ((0, ni % 2), (0, nj % 2), (0, 0)))
-        cands = np.stack([z[0::2, 0::2], z[0::2, 1::2], z[1::2, 0::2], z[1::2, 1::2]])
-        top2 = np.sort(cands, axis=0)[-2:]
-    elif lt.pool_out.shape[0] == (z.shape[0] + 1) // 2:
-        z = np.pad(z, ((0, z.shape[0] % 2), (0, 0)))
-        top2 = np.sort(np.stack([z[0::2], z[1::2]]), axis=0)[-2:]
-    else:
-        top2 = np.sort(z, axis=0)[-2:, :]
+    if lt.pool_out.shape[-2] == (z.shape[-2] + 1) // 2:
+        # gather each window's members along a new first axis
+        z = pad_pairs(z, z.ndim - 1, 0.0)[None]
+        for axis in range(1 - z.ndim, -1):
+            z = np.concatenate(pair_halves(z, axis))
+    top2 = np.sort(z, axis=0)[-2:]
     live = top2[-1] > 0
     if not live.any():
         return np.inf

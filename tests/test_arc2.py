@@ -7,7 +7,7 @@ import pytest
 from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import (_pair_pool_backward, build_arc2, conv2d_gated,
                            embed_arc1_as_arc2, interaction_conv1d, maxpool2d)
-from arcmatch.conv_sentence import encode
+from arcmatch.conv_sentence import encode, maxpool_backward
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector, set_param_vector
 from arcmatch.tensor import activate_grad_from_output, finite_diff, make_rng
@@ -67,22 +67,29 @@ def test_interaction_gate_pair_semantics():
     assert gate2[2, 0] == 1.0      # y window 0 still has a word
 
 
+def _winner_cells(z, out):
+    """The (row, column) cells that pooling's backward routes each pooled
+    cell to."""
+    grad = maxpool_backward(np.ones_like(out), z, 2)
+    return np.argwhere(grad[..., 0]).ravel().tolist()
+
+
 def test_maxpool2d_block_and_odd_padding():
     z = np.array([[1.0, 3.0], [2.0, 0.0]]).reshape(2, 2, 1)
-    out, coords = maxpool2d(z)
+    out = maxpool2d(z)
     assert out.ravel().tolist() == [3.0]
-    assert coords.reshape(-1).tolist() == [0, 1]
+    assert _winner_cells(z, out) == [0, 1]
 
     z3 = np.arange(9, dtype=float).reshape(3, 3, 1)
-    out3, _ = maxpool2d(z3)
+    out3 = maxpool2d(z3)
     assert out3.shape == (2, 2, 1)
     assert out3[:, :, 0].tolist() == [[4.0, 5.0], [7.0, 8.0]]
 
 
 def test_maxpool2d_tie_row_major_first():
     z = np.full((2, 2, 1), 7.0)
-    _, coords = maxpool2d(z)
-    assert coords.reshape(-1).tolist() == [0, 0]
+    out = maxpool2d(z)
+    assert _winner_cells(z, out) == [0, 0]
 
 
 def test_conv2d_hand_case():
@@ -228,7 +235,7 @@ def test_pooled_first_layer_equals_maxpool_of_the_grid(activation, max_len):
             x[rng.integers(max_len // 2, max_len):] = 0.0
             y[rng.integers(max_len // 2, max_len):] = 0.0
         pooled, gate, lt = interaction_conv1d(x, y, w, b, k1, activation)
-        assert np.array_equal(pooled, maxpool2d(lt.conv_out, sources=False)[0])
+        assert np.array_equal(pooled, maxpool2d(lt.conv_out))
         assert np.array_equal(gate, lt.gate)
         gated += not gate.all()
     assert gated >= 5

@@ -14,7 +14,7 @@ import pytest
 from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import build_arc2, conv2d_gated, interaction_conv1d, maxpool2d
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
-from arcmatch.conv_sentence import conv1d_gated, maxpool1d
+from arcmatch.conv_sentence import conv1d_gated, maxpool1d, maxpool_backward
 from arcmatch.embeddings import EmbeddingTable
 from arcmatch.errors import ShapeError
 from arcmatch.mlp import build_head, draw_dropout_masks, head_forward
@@ -61,13 +61,16 @@ def test_conv1d_and_maxpool1d_stacked_equal_per_item():
     z[0, 1, 4:] = 0.0  # padding rows exercise the gate
     w, b = rng.normal(size=(4, 15)), rng.normal(size=4)
     for activation in ("relu", "sigmoid"):
-        out, gate, pre = conv1d_gated(z, w, b, 3, activation)
-        pooled, rows = maxpool1d(out)
+        out, gate, pre, seg = conv1d_gated(z, w, b, 3, activation)
+        pooled = maxpool1d(out)
+        dz = rng.normal(size=pooled.shape)
+        routed = maxpool_backward(dz, out)
         for i in np.ndindex(z.shape[:2]):
-            o1, g1, p1 = conv1d_gated(z[i], w, b, 3, activation)
+            o1, g1, p1, s1 = conv1d_gated(z[i], w, b, 3, activation)
             assert _same(out[i], o1) and _same(gate[i], g1) and _same(pre[i], p1)
-            q1, r1 = maxpool1d(o1)  # length 5: odd, zero-padded
-            assert _same(pooled[i], q1) and _same(rows[i], r1)
+            assert _same(seg[i], s1)
+            q1 = maxpool1d(o1)  # length 5: odd, zero-padded
+            assert _same(pooled[i], q1) and _same(routed[i], maxpool_backward(dz[i], o1))
 
 
 def test_interaction_conv1d_broadcasts_x_against_stacked_y():
@@ -107,19 +110,22 @@ def test_maxpool2d_stacked_odd_extents_and_ties_equal_per_item():
     rng = make_rng(3)
     # small integers make ties common; odd extents exercise the zero pad
     z = rng.integers(0, 3, size=(4, 5, 7, 2)).astype(np.float64)
-    pooled, coords = maxpool2d(z)
-    assert pooled.shape == (4, 3, 4, 2) and coords.shape == (4, 3, 4, 2, 2)
+    pooled = maxpool2d(z)
+    dz = rng.normal(size=pooled.shape)
+    routed = maxpool_backward(dz, z, 2)
+    assert pooled.shape == (4, 3, 4, 2) and routed.shape == z.shape
     for i in range(4):
-        p1, c1 = maxpool2d(z[i])
-        assert _same(pooled[i], p1) and _same(coords[i], c1)
-        p2, none = maxpool2d(z[i], sources=False)
-        assert _same(p2, p1) and none is None
-    # tie rule: the first maximum of each block in row-major order wins
+        p1 = maxpool2d(z[i])
+        assert _same(pooled[i], p1) and _same(routed[i], maxpool_backward(dz[i], z[i], 2))
+    # tie rule: the first maximum of each block in row-major order wins,
+    # and it alone gets the block's gradient
     padded = np.pad(z, ((0, 0), (0, 1), (0, 1), (0, 0)))
     for b, i, j, f in np.ndindex(pooled.shape):
         block = [padded[b, 2 * i + di, 2 * j + dj, f] for di in (0, 1) for dj in (0, 1)]
         first = block.index(max(block))
-        assert tuple(coords[b, i, j, f]) == (2 * i + first // 2, 2 * j + first % 2)
+        got = [routed[b, 2 * i + di, 2 * j + dj, f] if 2 * i + di < 5 and 2 * j + dj < 7
+               else 0.0 for di in (0, 1) for dj in (0, 1)]
+        assert got == [dz[b, i, j, f] if m == first else 0.0 for m in range(4)]
 
 
 def test_head_forward_stacked_equal_per_item():

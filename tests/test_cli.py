@@ -294,3 +294,44 @@ def test_malformed_spec_flag_is_usage_error(tmp_path, flag):
     assert proc.returncode == 1, proc.stderr
     assert "usage error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _train_args(synth_dir, tmp_path, *extra):
+    return ["train", "--model", "wordembed",
+            "--train", str(synth_dir / "train.pairs"),
+            "--val", str(synth_dir / "val.pairs"),
+            "--out", str(tmp_path / "m.ckpt"), "--random-embeddings",
+            "--embed-dim", "8", "--max-len", "12", "--hidden", "8", "--quiet", *extra]
+
+
+def _assert_exit_1(proc, prefix):
+    assert proc.returncode == 1, proc.stderr
+    assert prefix in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_every_zero_is_config_error(synth_dir, tmp_path):
+    proc = _run_cli(_train_args(synth_dir, tmp_path, "--eval-every", "0"))
+    _assert_exit_1(proc, "config error:")
+    assert "eval_every" in proc.stderr
+
+
+@pytest.mark.parametrize("command,negatives", [("train", "0"), ("eval", "0"), ("eval", "-1")])
+def test_ranking_without_negatives_is_config_error(trained, synth_dir, tmp_path,
+                                                   command, negatives):
+    if command == "train":
+        argv = _train_args(synth_dir, tmp_path, "--val-negatives", negatives)
+    else:
+        argv = ["eval", "--checkpoint", str(trained), "--data", str(synth_dir / "test.pairs"),
+                "--embeddings", str(trained) + ".embeddings.txt", "--negatives", negatives]
+    proc = _run_cli(argv)
+    _assert_exit_1(proc, "config error:")
+    assert "negative" in proc.stderr
+
+
+@pytest.mark.parametrize("split", ["a/b/c", "120/-10/-10", "80/10", "80/10/10/0"])
+def test_malformed_split_is_usage_error(tmp_path, split):
+    out = tmp_path / "synth"
+    proc = _run_cli(["gen-synth", "--out", str(out), "--pairs", "20", "--split", split])
+    _assert_exit_1(proc, "usage error:")
+    assert not out.exists()

@@ -1,27 +1,30 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from arcmatch.arc2 import maxpool2d
 from arcmatch.conv_sentence import (SentenceModelConfig, conv1d_gated, encode,
                                     encode_backward, init_sentence_params,
-                                    maxpool1d)
+                                    maxpool1d, maxpool_backward)
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector
 from arcmatch.tensor import finite_diff, make_rng
 
 from conftest import random_sentence, sentence_from_matrix, small_table
-from reference import ref_encode, ref_layer_lengths
+from reference import ref_encode, ref_layer_lengths, ref_maxpool1d, ref_maxpool2d
 
 
 def test_conv_hand_case_sum_window():
     z = np.array([[1.0], [2.0], [3.0]])
-    out, gate, _ = conv1d_gated(z, np.array([[1.0, 1.0]]), np.zeros(1), 2)
+    out, gate, _, _ = conv1d_gated(z, np.array([[1.0, 1.0]]), np.zeros(1), 2)
     assert out.tolist() == [[3.0], [5.0]]
     assert gate.tolist() == [1.0, 1.0]
 
 
 def test_conv_hand_case_relu_clips():
     z = np.array([[1.0], [2.0], [3.0]])
-    out, _, _ = conv1d_gated(z, np.array([[1.0, -1.0]]), np.zeros(1), 2)
+    out, _, _, _ = conv1d_gated(z, np.array([[1.0, -1.0]]), np.zeros(1), 2)
     assert out.tolist() == [[0.0], [0.0]]
 
 
@@ -31,7 +34,7 @@ def test_conv_gate_zeroes_output_despite_bias():
     z[1] = [0.5, 0.0]  # rows 2..3 are padding
     w = np.ones((3, 4))
     b = np.full(3, 5.0)
-    out, gate, _ = conv1d_gated(z, w, b, 2, "sigmoid")
+    out, gate, _, _ = conv1d_gated(z, w, b, 2, "sigmoid")
     assert gate.tolist() == [1.0, 1.0, 0.0]
     assert not out[2].any()  # all-zero window: exactly zero, bias ignored
     assert out[1].all()      # half-padding window still computes
@@ -65,26 +68,64 @@ def test_conv_rejects_short_input():
         conv1d_gated(np.ones((2, 1)), np.ones((1, 3)), np.zeros(1), 3)
 
 
+def _winner_rows(z, out):
+    """The rows that pooling's backward routes each pooled unit to."""
+    grad = maxpool_backward(np.ones_like(out), z)
+    return np.flatnonzero(grad.ravel()).tolist()
+
+
 def test_maxpool_basic():
-    out, _ = maxpool1d(np.array([[1.0], [4.0], [2.0], [3.0]]))
+    out = maxpool1d(np.array([[1.0], [4.0], [2.0], [3.0]]))
     assert out.ravel().tolist() == [4.0, 3.0]
 
 
 def test_maxpool_odd_zero_pad():
-    out, src = maxpool1d(np.array([[1.0], [4.0], [2.0]]))
+    z = np.array([[1.0], [4.0], [2.0]])
+    out = maxpool1d(z)
     assert out.ravel().tolist() == [4.0, 2.0]
-    assert src.ravel().tolist() == [1, 2]  # pad row never wins
+    assert _winner_rows(z, out) == [1, 2]  # pad row never wins
 
 
 def test_maxpool_halves_length():
-    out, _ = maxpool1d(np.zeros((14, 3)))
+    out = maxpool1d(np.zeros((14, 3)))
     assert out.shape == (7, 3)
 
 
 def test_maxpool_tie_prefers_lower_index():
-    out, src = maxpool1d(np.array([[2.0], [2.0]]))
+    z = np.array([[2.0], [2.0]])
+    out = maxpool1d(z)
     assert out.ravel().tolist() == [2.0]
-    assert src.ravel().tolist() == [0]
+    assert _winner_rows(z, out) == [0]
+
+
+@pytest.mark.parametrize("nd", [1, 2])
+def test_pool_matches_loop_oracle_and_routes_to_its_winner(nd):
+    # one pair rule pools sentences and grids; small integers with zeros
+    # and negatives make ties common, and odd extents add a zero pad that
+    # wins a window of negatives and then passes no gradient
+    pool, ref = (maxpool1d, ref_maxpool1d) if nd == 1 else (maxpool2d, ref_maxpool2d)
+    rng = make_rng(40 + nd)
+    ties = 0
+    for extents in itertools.product(range(1, 16 if nd == 1 else 7), repeat=nd):
+        for f in (1, 3):
+            z = rng.integers(-1, 3, size=(*extents, f)).astype(np.float64)
+            z[rng.random(z.shape) < 0.3] = 0.0
+            want = ref(z)
+            pooled = pool(z)
+            assert np.array_equal(pooled, want)
+            g = rng.normal(size=pooled.shape)
+            expect = np.zeros(z.shape)
+            for *out, c in np.ndindex(pooled.shape):
+                members = [tuple(2 * o + d for o, d in zip(out, ds))
+                           for ds in itertools.product((0, 1), repeat=nd)]
+                inside = [all(i < n for i, n in zip(m, extents)) for m in members]
+                vals = [z[(*m, c)] if ok else 0.0 for m, ok in zip(members, inside)]
+                first = vals.index(want[(*out, c)])  # the oracle's tie rule
+                ties += vals.count(want[(*out, c)]) > 1
+                if inside[first]:
+                    expect[(*members[first], c)] = g[(*out, c)]
+            assert np.array_equal(maxpool_backward(g, z, nd), expect), extents
+    assert ties >= 30
 
 
 def test_encode_shape_law_16_to_3():
@@ -100,6 +141,20 @@ def test_encode_shape_law_16_to_3():
     params = init_sentence_params(cfg, make_rng(1))
     vec, _ = encode(sent, params, cfg)
     assert vec.shape == (6,)
+
+
+def test_whole_sentence_pool_routes_to_first_max():
+    # windows (3, 1), (1, 3), (3, 2) read their first row: the conv outputs
+    # 3, 1, 3 tie, and the first maximum takes the gradient
+    cfg = SentenceModelConfig(embed_dim=1, max_len=4, windows=(2,), feature_maps=(1,),
+                              global_pool=True)
+    params = init_sentence_params(cfg, make_rng(0))
+    params.layers[0] = (np.array([[1.0, 0.0]]), np.zeros(1))
+    vec, trace = encode(np.array([[3.0], [1.0], [3.0], [2.0]]), params, cfg)
+    assert vec.tolist() == [3.0]
+    grads, dx = encode_backward(trace, params, cfg, np.ones(1))
+    assert grads[0][0].tolist() == [[3.0, 1.0]]
+    assert dx.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_encode_global_pool_length_is_maps():
