@@ -179,6 +179,8 @@ def cmd_gen_synth(args) -> int:
     parts = [int(p) for p in split.groups()] if split else []
     if sum(parts) != 100:
         raise UsageError(f"--split must be three percentages summing to 100, got {args.split}")
+    if args.pairs < 1:
+        raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     rng = make_rng(args.seed)
     corpus, _ = dp.gen_synthetic_corpus(args.pairs, args.vocab_size,
                                         (args.len_min, args.len_max),
@@ -204,6 +206,12 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                      max_epochs=args.epochs, patience=args.patience,
+                      dropout=args.dropout, eval_every=args.eval_every,
+                      finetune_embeddings=args.finetune_embeddings,
+                      seed=args.seed)
+    cfg.validate()
     rng = make_rng(args.seed)
     stats = RunStats()
     with open(args.train_file, encoding="utf-8") as fh:
@@ -224,11 +232,6 @@ def cmd_train(args) -> int:
                                        args.neg_mode, table, rng, stats)
     val_instances = dp.encode_instances(val_token, table, args.max_len, stats)
 
-    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                      max_epochs=args.epochs, patience=args.patience,
-                      dropout=args.dropout, eval_every=args.eval_every,
-                      finetune_embeddings=args.finetune_embeddings,
-                      seed=args.seed)
     log = None if args.quiet else print
     model, history = train(model, triples, val_instances, cfg, table=table, log=log)
     save_checkpoint(args.out, model)
@@ -253,8 +256,9 @@ def cmd_eval(args) -> int:
     table = _table_from_args(args, vocab_paths)
     max_len = args.max_len or int(kv.get("max_len", 16))
     stats = RunStats()
-    scorer = _encoding_scorer(model, table, max_len, stats)
     if args.classify:
+        # encodes pair by pair, so no file-sized set of matrices is held
+        scorer = _encoding_scorer(model, table, max_len, stats)
         labeled = _load_labeled(args.data)
         if args.threshold is not None:
             threshold = args.threshold
@@ -269,7 +273,8 @@ def cmd_eval(args) -> int:
         rng = make_rng(args.seed)
         instances = dp.make_eval_instances(corpus, args.negatives, args.neg_mode,
                                            table, rng, stats)
-        report = p_at_1(scorer, instances)
+        encoded = dp.encode_instances(instances, table, max_len, stats)
+        report = p_at_1(lambda sx, sy: model.score(sx, sy)[0], encoded)
     print(report.table())
     print()
     print(report.kv_lines())

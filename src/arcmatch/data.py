@@ -207,25 +207,48 @@ def make_eval_instances(corpus: PairCorpus, m: int, mode: str,
     return instances
 
 
+def _encoder(table: EmbeddingTable, max_len: int, stats: RunStats | None):
+    """encode_sentence with one EncodedSentence per distinct token list.
+
+    Equal token lists get the same object, so one call's triples or
+    instances share each sentence's matrix. stats still counts every
+    occurrence, truncated ones included.
+    """
+    cache = {}
+
+    def encode(tokens) -> EncodedSentence:
+        key = tuple(tokens)
+        sent = cache.get(key)
+        if sent is None:
+            sent = cache[key] = encode_sentence(tokens, table, max_len, stats)
+        elif stats is not None:
+            stats.sentences += 1
+            if len(tokens) > max_len:
+                stats.truncated += 1
+        return sent
+
+    return encode
+
+
 def encode_triples(triples, table: EmbeddingTable, max_len: int,
                    stats: RunStats | None = None) -> list:
-    return [
-        Triple(x=encode_sentence(t.x, table, max_len, stats),
-               y_pos=encode_sentence(t.y_pos, table, max_len, stats),
-               y_neg=encode_sentence(t.y_neg, table, max_len, stats))
-        for t in triples
-    ]
+    """Encoded triples; every occurrence of a token list shares one
+    EncodedSentence, whose .x is read-only except through
+    training._refresh."""
+    encode = _encoder(table, max_len, stats)
+    return [Triple(x=encode(t.x), y_pos=encode(t.y_pos), y_neg=encode(t.y_neg))
+            for t in triples]
 
 
 def encode_instances(instances, table: EmbeddingTable, max_len: int,
                      stats: RunStats | None = None) -> list:
-    return [
-        EncodedInstance(x=encode_sentence(inst.x, table, max_len, stats),
-                        candidates=[encode_sentence(c, table, max_len, stats)
-                                    for c in inst.candidates],
-                        answer=inst.answer)
-        for inst in instances
-    ]
+    """Encoded ranking instances; sentences are shared as in
+    encode_triples."""
+    encode = _encoder(table, max_len, stats)
+    return [EncodedInstance(x=encode(inst.x),
+                            candidates=[encode(c) for c in inst.candidates],
+                            answer=inst.answer)
+            for inst in instances]
 
 
 # --- synthetic topical task ------------------------------------------------

@@ -55,7 +55,13 @@ class EmbeddingTable:
 
 @dataclass
 class EncodedSentence:
-    """Padded input matrix plus the word ids and true token count."""
+    """Padded input matrix plus the word ids and true token count.
+
+    data.encode_triples and data.encode_instances share one EncodedSentence
+    among every occurrence of a token list, so .x is read-only; only
+    training._refresh writes it, and it writes the same table rows for
+    every sharer.
+    """
 
     ids: list[int]
     length: int

@@ -2,6 +2,7 @@
 classification (accuracy/F1), and margin diagnostics for the ranking loss.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,19 +105,25 @@ def select_threshold(score_fn, dev_pairs) -> float:
     """Pick the accuracy-maximizing threshold on a dev split.
 
     The grid is the set of observed score quantiles (i.e., every score,
-    plus one value below the minimum so 'predict everything' is available).
+    plus one value below the minimum so 'predict everything' is available);
+    the first best, scanning upwards, wins. One sort, then a running count
+    of correct predictions: raising the threshold past a score turns its
+    pairs' predictions to 0, which gains its negatives and loses its
+    positives.
     """
     dev_pairs = list(dev_pairs)
     if not dev_pairs:
         raise DataError("select_threshold: no dev pairs")
-    scored = [(score_fn(x, y), label) for x, y, label in dev_pairs]
-    scores = sorted({s for s, _ in scored})
-    candidates = [scores[0] - 1.0, *scores]
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = sum(1 for s, label in scored if (s >= t) == bool(label)) / len(scored)
-        if acc > best_acc:
-            best_t, best_acc = t, acc
+    # a stable sort keeps the first of equal scores (0.0 and -0.0) first
+    scored = sorted(((score_fn(x, y), label) for x, y, label in dev_pairs),
+                    key=lambda pair: pair[0])
+    best_t = scored[0][0] - 1.0
+    correct = best_correct = sum(1 for _, label in scored if label)
+    for t, tied in itertools.groupby(scored, key=lambda pair: pair[0]):
+        if correct > best_correct:
+            best_t, best_correct = t, correct
+        for _, label in tied:
+            correct += -1 if label else 1
     return float(best_t)
 
 

@@ -38,6 +38,8 @@ class TrainConfig:
     def validate(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.max_epochs < 0:  # 0 keeps the initial parameters
+            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
@@ -68,7 +70,12 @@ def hinge_loss(s_pos, s_neg):
 
 
 def _refresh(sent: EncodedSentence, table) -> None:
-    """Re-materialize the padded matrix from (possibly fine-tuned) vectors."""
+    """Re-materialize the padded matrix from (possibly fine-tuned) vectors.
+
+    The sentence may be shared by many triples or instances (see
+    data.encode_triples); the rows written depend only on its ids, so every
+    sharer sees the matrix it would have been encoded with from the table.
+    """
     sent.x[: sent.length] = table.vectors[sent.ids]
 
 

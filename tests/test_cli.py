@@ -335,3 +335,50 @@ def test_malformed_split_is_usage_error(tmp_path, split):
     proc = _run_cli(["gen-synth", "--out", str(out), "--pairs", "20", "--split", split])
     _assert_exit_1(proc, "usage error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("negatives,neg_mode,seed", [("4", "random", "7"), ("9", "shuffle", "2")])
+def test_eval_ranking_prints_the_per_pair_scorers_report(trained, synth_dir, capsys,
+                                                         negatives, neg_mode, seed):
+    from arcmatch.checkpoint import load_checkpoint
+    from arcmatch.cli import _encoding_scorer
+    from arcmatch.data import make_eval_instances
+    from arcmatch.embeddings import RunStats, load_embeddings
+    from arcmatch.metrics import p_at_1
+    from arcmatch.tensor import make_rng
+
+    embeddings = str(trained) + ".embeddings.txt"
+    assert run(["eval", "--checkpoint", str(trained), "--data", str(synth_dir / "test.pairs"),
+                "--embeddings", embeddings, "--negatives", negatives,
+                "--neg-mode", neg_mode, "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    model, kv = load_checkpoint(trained)
+    with open(embeddings, encoding="utf-8") as fh:
+        table = load_embeddings(fh)
+    with open(synth_dir / "test.pairs", encoding="utf-8") as fh:
+        corpus = load_pairs(fh)
+    instances = make_eval_instances(corpus, int(negatives), neg_mode, table,
+                                    make_rng(int(seed)))
+    scorer = _encoding_scorer(model, table, int(kv.get("max_len", 16)), RunStats())
+    report = p_at_1(scorer, instances)
+    assert out == report.table() + "\n\n" + report.kv_lines() + "\n"
+
+
+def test_negative_epochs_is_config_error_before_any_input_is_read(synth_dir, tmp_path):
+    argv = _train_args(synth_dir, tmp_path, "--epochs", "-1")
+    proc = _run_cli(argv)
+    _assert_exit_1(proc, "config error:")
+    assert "max_epochs" in proc.stderr
+    assert not list(tmp_path.iterdir())  # no checkpoint, history or embeddings
+    # validation comes first: a missing training file is not even opened
+    argv[argv.index("--train") + 1] = str(tmp_path / "missing.pairs")
+    _assert_exit_1(_run_cli(argv), "config error:")
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_gen_synth_pairs_below_one_is_usage_error(tmp_path, pairs):
+    out = tmp_path / "synth"
+    proc = _run_cli(["gen-synth", "--out", str(out), "--pairs", pairs])
+    _assert_exit_1(proc, "usage error:")
+    assert "--pairs" in proc.stderr
+    assert not out.exists()

@@ -119,6 +119,38 @@ def test_select_threshold_maximizes_dev_accuracy():
     assert report.value == 1.0
 
 
+def _select_threshold_by_scan(score_fn, dev_pairs):
+    """The original quadratic scan: every candidate rescans every score."""
+    scored = [(score_fn(x, y), label) for x, y, label in dev_pairs]
+    scores = sorted({s for s, _ in scored})
+    candidates = [scores[0] - 1.0, *scores]
+    best_t, best_acc = candidates[0], -1.0
+    for t in candidates:
+        acc = sum(1 for s, label in scored if (s >= t) == bool(label)) / len(scored)
+        if acc > best_acc:
+            best_t, best_acc = t, acc
+    return float(best_t)
+
+
+def test_select_threshold_equals_the_quadratic_scan():
+    rng = make_rng(3)
+    cases = [[(0.5, 1)], [(0.5, 0)], [(-0.0, 1), (0.0, 0), (0.0, 1)],
+             [(0.0, 0), (-0.0, 1), (1.0, 1)]]
+    for n in (2, 3, 7, 40, 301):
+        for levels in (2, 5, 1000):  # few levels: many tied scores
+            scores = rng.integers(levels, size=n) / 4.0 - 1.0
+            labels = rng.integers(2, size=n)
+            cases.append(list(zip(scores.tolist(), labels.tolist())))
+            cases.append([(s, 1) for s in scores.tolist()])
+            cases.append([(s, 0) for s in scores.tolist()])
+            cases.append([(s, int(s > 0.0)) for s in scores.tolist()])
+    for case in cases:
+        pairs = [(s, None, label) for s, label in case]
+        got = select_threshold(lambda x, y: x, pairs)
+        want = _select_threshold_by_scan(lambda x, y: x, pairs)
+        assert got == want and np.signbit(got) == np.signbit(want), case
+
+
 def test_margin_stats():
     triples = [Triple(x=i, y_pos=i, y_neg=i) for i in range(4)]
     margins = iter([2.0, 0.0, 1.0, -1.0])
