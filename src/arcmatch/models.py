@@ -11,8 +11,9 @@ parameter gradients over all pairs.
 Two classes serve the five kinds: arc2.Arc2Model for ARC-II, and
 arc1.Arc1Model for ARC-I and the three baselines, which differ only in
 their sentence encoders. KINDS is the one place that tells the kinds
-apart: each kind's builder, the checkpoint keys that rebuild it, and the
-tiny configuration gradient_check uses.
+apart: each kind's builder, the checkpoint keys that rebuild it, the
+tiny configuration gradient_check uses, and the chunk size of its SGD
+steps.
 """
 
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ class Kind:
     build: Callable   # builder(rng=..., **arguments)
     keys: dict        # checkpoint key -> Key
     gradcheck: dict   # builder arguments of gradient_check's tiny model
+    chunk: int        # triples per stacked score/backward in training.sgd_step
 
 
 _HEAD = {
@@ -73,6 +75,26 @@ _HEAD = {
 _EMBED_DIM = {"embed_dim": Key(int, lambda m: m.config_x.embed_dim)}
 _SIAMESE = {**_HEAD, **_EMBED_DIM, "max_len": Key(int, lambda m: m.config_x.max_len)}
 
+# Kind.chunk: larger chunks spread sgd_step's per-call Python overhead over
+# more triples but hold larger traces. A chunk also fixes the groups of
+# triples whose gradients are summed together, so changing a kind's chunk
+# changes its trained parameters in their last bits. Sweep on the README
+# configurations, fine-tuned embeddings, one BLAS thread, with sgd_step's
+# heap thresholds set (2-vCPU VM, numpy 2.4): ms per SGD batch, best of 6
+# interleaved runs of 12 batches, and the tracemalloc peak of one step.
+#
+#                 batch of 64 triples            batch of 128 triples
+#   chunk      16       32       64          16       32       64      128
+#   arc2     11.8/3.5 10.8/6.5  9.8/6.2    27.8/3.5 24.2/6.7 26.2/12.7 26.5/22.7
+#   arc1      4.7/1.4  3.6/2.6  3.0/3.6    11.7/1.4  8.8/2.7  7.1/5.2  6.6/7.1
+#   wordembed 1.8/0.6  1.3/1.0  1.1/1.4     4.6/0.6  3.5/1.0  2.7/1.8  2.3/2.7
+#   senmlp    2.4/1.2  2.1/1.6  1.8/1.2     6.4/1.3  5.1/1.9  4.5/2.9  4.1/4.1
+#   senna     4.1/1.1  3.1/2.0  2.7/2.9     9.8/1.1  7.3/2.1  6.1/4.0  5.6/5.6
+#                                                             (ms/MB)
+# The siamese kinds take 64: 128 gains 7-17% more only in batches above
+# 64, for 1.4-1.5x the memory. ARC-II keeps 16, the chunk its results have
+# been trained with, although 32 and 64 read 6-17% faster here.
+
 KINDS = {
     "arc1": Kind(build_arc1, {
         **_SIAMESE,
@@ -80,7 +102,7 @@ KINDS = {
         "windows": Key(_ints, lambda m: _csv(m.config_x.windows)),
         "feature_maps": Key(_ints, lambda m: _csv(m.config_x.feature_maps)),
         "tie_weights": Key(lambda t: bool(int(t)), lambda m: int(m.tie_weights)),
-    }, dict(windows=(3, 2), feature_maps=(3, 2), hidden=(4,))),
+    }, dict(windows=(3, 2), feature_maps=(3, 2), hidden=(4,)), chunk=64),
     "arc2": Kind(build_arc2, {
         **_HEAD,
         "embed_dim": Key(int, lambda m: m.config.embed_dim),
@@ -89,14 +111,14 @@ KINDS = {
         "maps1": Key(int, lambda m: m.config.maps1),
         "twod": Key(_pairs, lambda m: ",".join(f"{k}:{f}" for k, f in m.config.twod_layers),
                     arg="twod_layers"),
-    }, dict(window1=2, maps1=3, twod_layers=((2, 2),), hidden=(4,))),
-    "wordembed": Kind(build_wordembed, {**_HEAD, **_EMBED_DIM}, dict(hidden=(5,))),
-    "senmlp": Kind(build_senmlp, _SIAMESE, dict(hidden=(5,))),
+    }, dict(window1=2, maps1=3, twod_layers=((2, 2),), hidden=(4,)), chunk=16),
+    "wordembed": Kind(build_wordembed, {**_HEAD, **_EMBED_DIM}, dict(hidden=(5,)), chunk=64),
+    "senmlp": Kind(build_senmlp, _SIAMESE, dict(hidden=(5,)), chunk=64),
     "senna": Kind(build_senna, {
         **_SIAMESE,
         "window": Key(int, lambda m: m.config_x.windows[0]),
         "maps": Key(int, lambda m: m.config_x.feature_maps[0]),
-    }, dict(window=3, maps=4, hidden=(4,))),
+    }, dict(window=3, maps=4, hidden=(4,)), chunk=64),
 }
 MODEL_KINDS = tuple(KINDS)
 

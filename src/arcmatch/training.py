@@ -3,7 +3,11 @@ early stopping on validation P@1, optional embedding fine-tuning, and the
 finite-difference gradient check used to validate every backward pass.
 """
 
+import ctypes
+import functools
 import itertools
+import math
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.max_epochs < 0:  # 0 keeps the initial parameters
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
@@ -79,13 +83,28 @@ def _refresh(sent: EncodedSentence, table) -> None:
     sent.x[: sent.length] = table.vectors[sent.ids]
 
 
-# Triples stacked into one forward and one backward call. Larger chunks
-# spread the per-call Python overhead over more triples but hold larger
-# traces. On the README configurations, 12 SGD batches of 64 triples per
-# model (all five, one BLAS thread, best of 3) took 0.38 s with chunks of
-# 8, 0.29 s with 16, 0.29 s with 32 and 0.36 s with 64, and added 1.4,
-# 1.5, 5.1 and 12.4 MB of peak memory; ARC-II alone is fastest at 16.
-CHUNK_TRIPLES = 16
+@functools.cache
+def _keep_heap() -> None:
+    """Let glibc keep freed memory for the next SGD step, once per process.
+
+    A step frees a few MB of traces and temporaries (ARC-II at chunk 16:
+    3.5 MB), which land at the top of the heap; by default glibc gives them
+    back to the OS and the next step faults every page in again (README
+    ARC-II, steps of 64 triples: about 880 minor faults a step, 4 with
+    this). Up to 64 MiB free at the top of the heap is kept instead, and
+    blocks up to 32 MiB (glibc's largest mmap threshold on 64-bit) come
+    from the heap, not from mmap. Setting either threshold turns off
+    glibc's dynamic ones, so both are set. Elsewhere this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from malloc.h
+    mallopt(m_trim_threshold, 64 << 20)
+    mallopt(m_mmap_threshold, 32 << 20)
 
 
 def _stack(sents, table):
@@ -128,21 +147,28 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     (drawn fresh per triple, in batch order); only triples with positive
     loss contribute gradients. Update is theta -= lr * mean(grad).
 
-    The batch runs in chunks of CHUNK_TRIPLES triples, each stacked along
-    leading dimensions: x as [C, L, D] and (y+, y-) as [2, C, L, D], so one
-    score and one backward call per chunk run every layer once. Inactive
-    triples get a zero upstream gradient. A non-finite loss raises
-    NumericError before any parameter changes.
+    The batch runs in chunks of the model kind's KINDS[kind].chunk triples,
+    each stacked along leading dimensions: x as [C, L, D] and (y+, y-) as
+    [2, C, L, D], so one score and one backward call per chunk run every
+    layer once. Inactive triples get a zero upstream gradient. A non-finite
+    loss raises NumericError before any parameter changes.
+
+    The first call sets glibc's heap trim and mmap thresholds for the
+    whole process (see _keep_heap), so that each step reuses the pages the
+    previous one freed rather than faulting them in anew; the process may
+    then keep up to 64 MiB of freed memory at the top of its heap.
     """
     if not batch:
         raise DataError("sgd_step: empty batch")
+    _keep_heap()
+    size = KINDS[model.kind].chunk
     finetune = cfg.finetune_embeddings and table is not None
     words = table if finetune else None
     total_loss = 0.0
     acc = None
     emb_acc = None
-    for start in range(0, len(batch), CHUNK_TRIPLES):
-        chunk = batch[start : start + CHUNK_TRIPLES]
+    for start in range(0, len(batch), size):
+        chunk = batch[start : start + size]
         x, x_words = _stack([t.x for t in chunk], words)
         y, y_words = _stack([t.y_pos for t in chunk] + [t.y_neg for t in chunk], words)
         masks = _chunk_masks(model.head, rng, len(chunk)) if cfg.dropout > 0 else None

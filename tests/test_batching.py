@@ -18,9 +18,9 @@ from arcmatch.conv_sentence import conv1d_gated, maxpool1d, maxpool_backward
 from arcmatch.embeddings import EmbeddingTable
 from arcmatch.errors import ShapeError
 from arcmatch.mlp import build_head, draw_dropout_masks, head_forward
-from arcmatch.models import param_vector
+from arcmatch.models import KINDS, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import CHUNK_TRIPLES, TrainConfig, Triple, hinge_loss, sgd_step
+from arcmatch.training import TrainConfig, Triple, hinge_loss, sgd_step
 
 from conftest import random_sentence, small_table
 
@@ -261,10 +261,11 @@ def _check_step(setting, batch, table, model_fn):
 def test_sgd_step_matches_summed_per_pair_backward(kind, setting):
     s = SETTINGS[setting]
     table = small_table()
-    # two full chunks and a partial one
-    batch = _triples(table, 2 * CHUNK_TRIPLES + 3, make_rng(8))
-    assert len(batch) % CHUNK_TRIPLES
     model_fn = functools.partial(_sharpened, kind, s["activation"], s["dropout"])
+    chunk = KINDS[model_fn().kind].chunk
+    # two full chunks and a partial one
+    batch = _triples(table, 2 * chunk + 3, make_rng(8))
+    assert len(batch) % chunk
     hinges = _hinges(model_fn(), batch)
     if not s["dropout"]:  # dropout moves the scores, so the mix is only known without it
         assert min(hinges) == 0.0 and max(hinges) > 0.0
@@ -276,14 +277,15 @@ def test_sgd_step_matches_summed_per_pair_backward(kind, setting):
 def test_all_satisfied_batch_is_bitwise_noop(kind):
     table = small_table()
     model = _sharpened(kind, "relu", 0.0)
+    chunk = KINDS[model.kind].chunk
     satisfied = []
-    for t in _triples(table, 5 * CHUNK_TRIPLES, make_rng(10)):
+    for t in _triples(table, 5 * chunk, make_rng(10)):
         hinge_fwd, hinge_rev = _hinges(model, [t, Triple(t.x, t.y_neg, t.y_pos)])
         if hinge_fwd == 0.0:
             satisfied.append(t)
         elif hinge_rev == 0.0:
             satisfied.append(Triple(t.x, t.y_neg, t.y_pos))
-    assert len(satisfied) > CHUNK_TRIPLES
+    assert len(satisfied) > chunk
     before, table_before = param_vector(model).copy(), table.vectors.copy()
     cfg = TrainConfig(learning_rate=0.5, batch_size=len(satisfied),
                       finetune_embeddings=True)
@@ -294,12 +296,13 @@ def test_all_satisfied_batch_is_bitwise_noop(kind):
 
 def test_sgd_step_stacks_x_and_y_sides_of_different_lengths():
     table = small_table()
-    batch = _triples(table, 2 * CHUNK_TRIPLES + 3, make_rng(12), y_len=MAX_LEN + 3)
     def model_fn():
         return build_arc1(4, MAX_LEN, make_rng(13), windows=(3, 2), feature_maps=(3, 2),
                           hidden=(6,), max_len_y=MAX_LEN + 3, activation="sigmoid",
                           dropout=0.3)
 
+    # two full chunks and a partial one
+    batch = _triples(table, 2 * KINDS["arc1"].chunk + 3, make_rng(12), y_len=MAX_LEN + 3)
     _check_step(SETTINGS["dropout_sigmoid_finetune"], batch, table, model_fn)
 
 

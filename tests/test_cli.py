@@ -375,6 +375,14 @@ def test_negative_epochs_is_config_error_before_any_input_is_read(synth_dir, tmp
     _assert_exit_1(_run_cli(argv), "config error:")
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_config_error(synth_dir, tmp_path, lr):
+    proc = _run_cli(_train_args(synth_dir, tmp_path, "--lr", lr))
+    _assert_exit_1(proc, "config error:")
+    assert "learning_rate" in proc.stderr
+    assert not list(tmp_path.iterdir())  # no checkpoint, history or embeddings
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_gen_synth_pairs_below_one_is_usage_error(tmp_path, pairs):
     out = tmp_path / "synth"

@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import arcmatch
 from arcmatch.arc1 import build_arc1
 from arcmatch.baselines import build_wordembed
 from arcmatch.data import EncodedInstance
@@ -244,3 +251,39 @@ def test_finetune_embeddings_updates_table_and_matches_fd():
     live = np.abs(analytic) + np.abs(numeric) >= 1e-8
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     assert (np.abs(analytic - numeric) / denom)[live].max() < 1e-3
+
+
+# A fresh process: README-sized ARC-II, fine-tuned embeddings, batches of 64.
+_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    from arcmatch import (build_arc2, encode_triples, gen_synthetic_corpus,
+                          random_embeddings, sample_negatives, make_rng)
+    from arcmatch.training import TrainConfig, sgd_step
+
+    corpus, tokens = gen_synthetic_corpus(400, 400, (7, 12), 10, make_rng(0))
+    table = random_embeddings(tokens, 16, make_rng(1))
+    triples = encode_triples(sample_negatives(corpus, 2, "random", None, make_rng(2)),
+                             table, max_len=12)
+    model = build_arc2(16, 12, make_rng(3), window1=3, maps1=32,
+                       twod_layers=((2, 32), (2, 64)), hidden=(64,))
+    cfg = TrainConfig(learning_rate=0.4, batch_size=64, finetune_embeddings=True)
+    batches = [triples[i * 64:(i + 1) * 64] for i in range(6)]
+    for batch in batches[:2]:  # warm-up
+        sgd_step(model, batch, cfg, make_rng(0), table)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[2:]:
+        sgd_step(model, batch, cfg, make_rng(0), table)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_sgd_steps_reuse_the_heap_instead_of_faulting_pages_in():
+    # Each ARC-II step frees a few MB; when glibc hands that back to the OS,
+    # the next step takes several hundred minor page faults.
+    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
