@@ -32,13 +32,24 @@ maximum is its _all maximum.
 
 Backward routes each block's gradient to its winner, the first maximum in
 row-major block order as maxpool2d picks it, adding it to the winner's x
-window in gx and its y window in gy; each window's gradients add in the
-same order as row and column sums over the full grid would add them.
-The winners are read off px and py, which matches the rounded sums unless
-two different sums px[i] + py[j] round to one value; with sigmoid, the
-pooled values also rely on the activation being monotone in floating
-point. Outside those cases, scores and gradients are bitwise those of the
-full grid.
+window in gx and its y window in gy. The winner is read off px and py.
+The block's live maximum is the larger of t1 = Ax_live + Ay_all (a live x
+window against any y window) and t2 = Ax_all + Ay_live, and that term's
+first cell wins; when t1 == t2, the earlier of the two first cells in
+row-major order wins. So when a block's two x windows are both live, or
+both dead (a dead window's px is the bias alone, so the two tie and the
+first wins), its winning row is the x pair's own comparison px[2m+1] >
+px[2m]; likewise its winning column is py[2k+1] > py[2k] unless exactly
+one of its y windows is live. gx is therefore g summed over each row of
+blocks and routed by the x pairs' comparisons, and gy g summed over each
+column and routed by the y pairs'; only the pairs with one live window are
+routed block by block, by the rule above. Each window's gradients add in
+the same order as row and column sums over the full grid would add them.
+Reading the winners off px and py matches the rounded sums unless two
+different sums px[i] + py[j] round to one value; with sigmoid, the pooled
+values also rely on the activation being monotone in floating point.
+Outside those cases, scores and gradients are bitwise those of the full
+grid.
 """
 
 import functools
@@ -54,7 +65,7 @@ from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .mlp import MlpHead, build_head, head_backward, head_forward
 from .tensor import (activate, activate_grad_from_output, init_uniform,
-                     named_layers, sum_to_shape)
+                     named_layers, split_by, sum_to_shape)
 
 
 @dataclass
@@ -265,35 +276,82 @@ def _pair_pool_backward(dz: np.ndarray, lt: PairLayerTrace):
     Each block passes its gradient to its winner, the first live cell in
     row-major block order whose pre-activation is the block's maximum (as
     maxpool2d picks it): cell (i, j) adds it to row i of gx and row j of gy.
+    A block's winning row is its x pair's own comparison unless exactly one
+    of the pair's windows is live, and so is its column for the y pair (see
+    the module docstring). So gx routes g summed over each row of blocks,
+    and gy g summed over each column; only the rows and columns of a pair
+    with one live window are routed block by block, by _winners.
     Gradients of synthetic pad windows are dropped.
     """
     g = dz * activate_grad_from_output(lt.pool_out, lt.activation)
-    # the live maxima are those of a live x window against any y window
-    # (t1) and of any x window against a live y window (t2); each one's
-    # first cell, as a row-major block index 2 * row + col, competes, and
-    # the earlier one wins a tie
+    lead = g.shape[:-3] or (1,)   # a lone pair routes as a stack of one
+    g = g.reshape(lead + g.shape[-3:])
     (first_x, second_x), (first_y, second_y) = _halves(lt.px), _halves(lt.py)
-    live_first_x, live_second_x = _halves(lt.px, lt.live_x)
-    live_first_y, live_second_y = _halves(lt.py, lt.live_y)
-    t1 = _grid_sum(np.maximum(live_first_x, live_second_x), np.maximum(first_y, second_y))
-    t2 = _grid_sum(np.maximum(first_x, second_x), np.maximum(live_first_y, live_second_y))
-    idx1 = _grid_sum(2 * (live_second_x > live_first_x).view(np.int8),
-                     (second_y > first_y).view(np.int8))
-    idx2 = _grid_sum(2 * (second_x > first_x).view(np.int8),
-                     (live_second_y > live_first_y).view(np.int8))
-    win = np.minimum(np.where(t1 >= t2, idx1, 4), np.where(t2 >= t1, idx2, 4))
-    gx = _route(g, win >= 2, axis=-2)
-    gy = _route(g, (win & 1).view(np.bool_), axis=-3)
+    wins_x, wins_y = second_x > first_x, second_y > first_y
+    rows = np.nonzero(_one_live(lt.live_x, lead))
+    cols = np.nonzero(_one_live(lt.live_y, lead))
+    if rows[0].size or cols[0].size:
+        xs = _block_maxima(first_x, second_x, wins_x, lt.px, lt.live_x, lead)
+        ys = _block_maxima(first_y, second_y, wins_y, lt.py, lt.live_y, lead)
+    # the block-by-block routes are summed in C-ordered buffers laid out as
+    # the grid's: along a row of blocks as its innermost axis but one, and
+    # down a column as its outermost, so that numpy adds them up in the
+    # order in which it adds the grid's rows and columns
+    if rows[0].size:
+        row = _winners(xs[rows][:, None], ys[rows[:-1]]) >= 2            # [R, K, F]
+        row_routes = np.empty((2,) + row.shape)
+        row_routes[0], row_routes[1] = split_by(row, g[rows])
+        row_routes = row_routes.sum(axis=-2)
+    if cols[0].size:
+        x_blocks = np.moveaxis(xs, -4, 0)[(slice(None), *cols[:-1])]
+        col = (_winners(x_blocks, ys[cols]) & 1).view(np.bool_)          # [M, R, F]
+        col_routes = np.empty((col.shape[0], 2) + col.shape[1:])
+        col_routes[:, 0], col_routes[:, 1] = split_by(
+            col, np.moveaxis(g, -3, 0)[(slice(None), *cols)])
+        col_routes = col_routes.sum(axis=0)
+    xs = ys = None  # hold no blocks while the whole rows and columns are routed
+    gx = split_by(wins_x, g.sum(axis=-2))
+    if rows[0].size:
+        gx[0][rows], gx[1][rows] = row_routes
+    gy = split_by(wins_y, g.sum(axis=-3))
+    if cols[0].size:
+        gy[0][cols], gy[1][cols] = col_routes
     n = lt.px.shape[-2]
-    return gx[..., :n, :], gy[..., :n, :]
+    shape = dz.shape[:-3] + (n, dz.shape[-1])
+    return (pair_join(*gx, -2)[..., :n, :].reshape(shape),
+            pair_join(*gy, -2)[..., :n, :].reshape(shape))
 
 
-def _route(g: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient of each window [..., 2m, F]: g summed over `axis` onto
-    each block's first window where `second` is False, and onto its second
-    where it is True."""
-    return pair_join(np.where(second, 0.0, g).sum(axis=axis),
-                     np.where(second, g, 0.0).sum(axis=axis), -2)
+def _block_maxima(first, second, wins, p, live, lead: tuple) -> np.ndarray:
+    """Each 2-window block of p [..., n, F], with its _halves (first,
+    second) and wins = second > first, as [*lead, ceil(n/2), 2, 2, F]: (its
+    maximum, 1.0 if its second window holds that maximum alone, else 0.0),
+    each over (all windows, live windows)."""
+    live_first, live_second = _halves(p, live)
+    blocks = np.empty(first.shape[:-1] + (2, 2, first.shape[-1]))
+    np.maximum(first, second, out=blocks[..., 0, 0, :])
+    np.maximum(live_first, live_second, out=blocks[..., 0, 1, :])
+    blocks[..., 1, 0, :] = wins
+    np.greater(live_second, live_first, out=blocks[..., 1, 1, :])
+    return np.broadcast_to(blocks, lead + blocks.shape[-4:])
+
+
+def _one_live(live: np.ndarray, lead: tuple) -> np.ndarray:
+    """[*lead, n // 2]: whether exactly one window of each full block is
+    live; the block of an odd side's last window never is."""
+    return np.broadcast_to(live[..., :-1:2] ^ live[..., 1::2], lead + (live.shape[-1] // 2,))
+
+
+def _winners(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Each block's winner as a row-major block index 2 * row + col, from
+    the _block_maxima of its x and y pairs. The live maxima are those of a
+    live x window against any y window (t1) and of any x window against a
+    live y window (t2); each one's first cell competes, and the earlier one
+    wins a tie."""
+    t = xs[..., 0, ::-1, :] + ys[..., 0, :, :]          # (t1, t2)
+    index = 2.0 * xs[..., 1, ::-1, :] + ys[..., 1, :, :]
+    win = np.where(t >= t[..., ::-1, :], index, 4.0)
+    return np.minimum(win[..., 0, :], win[..., 1, :]).astype(np.int8)
 
 
 def build_arc2(embed_dim: int, max_len: int, rng,

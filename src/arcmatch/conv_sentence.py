@@ -30,7 +30,7 @@ import numpy as np
 
 from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
-from .tensor import activate, activate_grad_from_output, init_uniform
+from .tensor import activate, activate_grad_from_output, init_uniform, split_by
 
 
 def layer_extents(length: int, windows, global_pool: bool = False) -> list:
@@ -238,7 +238,7 @@ def maxpool_backward(g: np.ndarray, z: np.ndarray, nd: int = 1) -> np.ndarray:
         steps.append((axis, second > first))
         z = np.maximum(first, second)
     for axis, second in reversed(steps):
-        g = pair_join(np.where(second, 0.0, g), np.where(second, g, 0.0), axis)
+        g = pair_join(*split_by(second, g), axis)
     return g[_windows(n, 1)[0]]
 
 

@@ -166,6 +166,8 @@ def sample_negatives(corpus: PairCorpus, per_positive: int, mode: str,
                      table: EmbeddingTable | None, rng: np.random.Generator,
                      stats: RunStats | None = None) -> list:
     """Token-level triples: per positive pair, per_positive negatives."""
+    if per_positive < 1:
+        raise ConfigError(f"training needs at least 1 negative per pair, got {per_positive}")
     if len(corpus.pairs) < 2:
         raise DataError("need at least 2 pairs to sample negatives")
     triples = []

@@ -78,22 +78,23 @@ _SIAMESE = {**_HEAD, **_EMBED_DIM, "max_len": Key(int, lambda m: m.config_x.max_
 # Kind.chunk: larger chunks spread sgd_step's per-call Python overhead over
 # more triples but hold larger traces. A chunk also fixes the groups of
 # triples whose gradients are summed together, so changing a kind's chunk
-# changes its trained parameters in their last bits. Sweep on the README
-# configurations, fine-tuned embeddings, one BLAS thread, with sgd_step's
-# heap thresholds set (2-vCPU VM, numpy 2.4): ms per SGD batch, best of 6
-# interleaved runs of 12 batches, and the tracemalloc peak of one step.
+# changes its trained parameters in their last bits. The siamese kinds take
+# 64: in an earlier sweep, 128 gained 7-17% more only in batches above 64,
+# for 1.4-1.5x the memory. ARC-II's sweep, at the README configuration with
+# fine-tuned embeddings, batches of 64, one BLAS thread and sgd_step's heap
+# thresholds set (2-vCPU VM, numpy 2.4): ms per SGD batch (best / median of
+# 8 interleaved runs of 12 batches), the tracemalloc peak of one step, and
+# the benchmark's `train` workload (perfbench/run.py, two 20 s runs each,
+# seeds 9501-9502).
 #
-#                 batch of 64 triples            batch of 128 triples
-#   chunk      16       32       64          16       32       64      128
-#   arc2     11.8/3.5 10.8/6.5  9.8/6.2    27.8/3.5 24.2/6.7 26.2/12.7 26.5/22.7
-#   arc1      4.7/1.4  3.6/2.6  3.0/3.6    11.7/1.4  8.8/2.7  7.1/5.2  6.6/7.1
-#   wordembed 1.8/0.6  1.3/1.0  1.1/1.4     4.6/0.6  3.5/1.0  2.7/1.8  2.3/2.7
-#   senmlp    2.4/1.2  2.1/1.6  1.8/1.2     6.4/1.3  5.1/1.9  4.5/2.9  4.1/4.1
-#   senna     4.1/1.1  3.1/2.0  2.7/2.9     9.8/1.1  7.3/2.1  6.1/4.0  5.6/5.6
-#                                                             (ms/MB)
-# The siamese kinds take 64: 128 gains 7-17% more only in batches above
-# 64, for 1.4-1.5x the memory. ARC-II keeps 16, the chunk its results have
-# been trained with, although 32 and 64 read 6-17% faster here.
+#   chunk   ms/batch      step peak   train peak_rss_mb   train items/s
+#   16      8.56 / 8.80    3.16 MB     60.29-60.40         14,230-14,300
+#   32      7.17 / 7.55    5.47 MB     62.87-62.88         14,940-15,420
+#   64      6.83 / 7.09   10.21 MB     67.64-67.67         15,050-15,330
+#
+# ARC-II takes 32. Chunks of 64 run its own batches a little faster but not
+# the whole workload, and they raise peak_rss_mb by 12% over chunks of 16
+# (32: 4%).
 
 KINDS = {
     "arc1": Kind(build_arc1, {
@@ -111,7 +112,7 @@ KINDS = {
         "maps1": Key(int, lambda m: m.config.maps1),
         "twod": Key(_pairs, lambda m: ",".join(f"{k}:{f}" for k, f in m.config.twod_layers),
                     arg="twod_layers"),
-    }, dict(window1=2, maps1=3, twod_layers=((2, 2),), hidden=(4,)), chunk=16),
+    }, dict(window1=2, maps1=3, twod_layers=((2, 2),), hidden=(4,)), chunk=32),
     "wordembed": Kind(build_wordembed, {**_HEAD, **_EMBED_DIM}, dict(hidden=(5,)), chunk=64),
     "senmlp": Kind(build_senmlp, _SIAMESE, dict(hidden=(5,)), chunk=64),
     "senna": Kind(build_senna, {

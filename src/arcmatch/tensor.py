@@ -45,6 +45,19 @@ def sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
     return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
+def split_by(mask: np.ndarray, g: np.ndarray):
+    """(where(mask, 0.0, g), where(mask, g, 0.0)) bit for bit, for a
+    float64 g and a bool mask that broadcast together: each value kept as
+    it is (signs of zero and NaN payloads too), +0.0 elsewhere. The values
+    are selected as integers (v & -1 keeps v, v & 0 is +0.0), which is
+    several times faster than np.where."""
+    if g.dtype != np.float64:
+        raise ShapeError(f"split_by takes float64 values, got {g.dtype}")
+    bits = g.view(np.int64)
+    chosen = bits & -mask.view(np.int8)
+    return (bits ^ chosen).view(np.float64), chosen.view(np.float64)
+
+
 def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 

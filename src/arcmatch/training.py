@@ -87,14 +87,15 @@ def _refresh(sent: EncodedSentence, table) -> None:
 def _keep_heap() -> None:
     """Let glibc keep freed memory for the next SGD step, once per process.
 
-    A step frees a few MB of traces and temporaries (ARC-II at chunk 16:
-    3.5 MB), which land at the top of the heap; by default glibc gives them
-    back to the OS and the next step faults every page in again (README
-    ARC-II, steps of 64 triples: about 880 minor faults a step, 4 with
-    this). Up to 64 MiB free at the top of the heap is kept instead, and
-    blocks up to 32 MiB (glibc's largest mmap threshold on 64-bit) come
-    from the heap, not from mmap. Setting either threshold turns off
-    glibc's dynamic ones, so both are set. Elsewhere this does nothing.
+    A step frees a few MB of traces and temporaries (README ARC-II, 64
+    triples in chunks of 32: a 5.5 MB tracemalloc peak), which land at the
+    top of the heap; by default glibc gives them back to the OS and the
+    next step faults every page in again (that step: about 950 minor
+    faults, 1 with this). Up to 64 MiB free at the top of the heap is kept
+    instead, and blocks up to 32 MiB (glibc's largest mmap threshold on
+    64-bit) come from the heap, not from mmap. Setting either threshold
+    turns off glibc's dynamic ones, so both are set. Elsewhere this does
+    nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -130,6 +131,19 @@ def _stack(sents, table):
     return stack.reshape(len(sents), max_len, dim), (rows, ids)
 
 
+def _add_word_grads(emb_acc: np.ndarray, x_words, y_words, dx: np.ndarray,
+                    dy: np.ndarray) -> None:
+    """Add the gradients of a chunk's word rows, dx [C, L, D] and dy
+    [2, C, L, D], to their words' rows of emb_acc; x_words and y_words are
+    _stack's (flat stack row, word id) of each side."""
+    (x_rows, x_ids), (y_rows, y_ids) = x_words, y_words
+    dim = emb_acc.shape[-1]
+    word_grads = np.concatenate([dx.reshape(-1, dim)[x_rows], dy.reshape(-1, dim)[y_rows]])
+    # one flat index per value: numpy's fast path for ufunc.at
+    flat = np.concatenate([x_ids, y_ids])[:, None] * dim + np.arange(dim)
+    np.add.at(emb_acc.reshape(-1), flat.ravel(), word_grads.ravel())
+
+
 def _chunk_masks(head, rng, n: int):
     """Dropout masks for n triples, drawn triple by triple: [n, hidden] per
     hidden layer, or None when the head has no dropout."""
@@ -150,8 +164,11 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     The batch runs in chunks of the model kind's KINDS[kind].chunk triples,
     each stacked along leading dimensions: x as [C, L, D] and (y+, y-) as
     [2, C, L, D], so one score and one backward call per chunk run every
-    layer once. Inactive triples get a zero upstream gradient. A non-finite
-    loss raises NumericError before any parameter changes.
+    layer once. Inactive triples get a zero upstream gradient. Each chunk's
+    trace is dropped once its backward has run, and its input gradients
+    once they are added up, so that the next chunk's forward does not hold
+    two chunks' arrays. A non-finite loss raises NumericError before any
+    parameter changes.
 
     The first call sets glibc's heap trim and mmap thresholds for the
     whole process (see _keep_heap), so that each step reuses the pages the
@@ -185,9 +202,11 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
             total_loss += loss
         active = losses > 0.0
         if not active.any():
+            del trace
             continue
         upstream = np.where(active, np.array([[-1.0], [1.0]]), 0.0)
         grads, dx, dy = model.backward(trace, upstream)
+        del trace  # the next chunk's forward holds no earlier chunk's arrays
         if acc is None:
             acc = grads
         else:
@@ -196,12 +215,8 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
         if finetune:
             if emb_acc is None:
                 emb_acc = np.zeros_like(table.vectors)
-            (x_rows, x_ids), (y_rows, y_ids) = x_words, y_words
-            word_grads = np.concatenate([dx.reshape(-1, table.dim)[x_rows],
-                                         dy.reshape(-1, table.dim)[y_rows]])
-            # one flat index per value: numpy's fast path for ufunc.at
-            flat = np.concatenate([x_ids, y_ids])[:, None] * table.dim + np.arange(table.dim)
-            np.add.at(emb_acc.reshape(-1), flat.ravel(), word_grads.ravel())
+            _add_word_grads(emb_acc, x_words, y_words, dx, dy)
+        del dx, dy
     if acc is not None and cfg.learning_rate != 0.0:
         scale = cfg.learning_rate / len(batch)
         for name, tensor in model.named_params():

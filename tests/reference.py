@@ -180,6 +180,53 @@ def ref_arc2_score(model, sx, sy):
                     model.head.activation)
 
 
+def ref_pair_pool_backward(dz, lt):
+    """ARC-II's first-layer backward over the whole pooled grid: per-pair
+    gradients (gx, gy) w.r.t. px and py from dz at pooled resolution.
+
+    Every block compares the maximum of a live x window against any y
+    window (t1) with that of any x window against a live y window (t2);
+    each one's first cell, as a row-major block index 2 * row + col,
+    competes, and the earlier one wins a tie. The gradient then goes to
+    the winning row's x window and the winning column's y window, summed
+    over the grid's columns and rows. Pad windows read -inf.
+    """
+    out = lt.pool_out
+    act_grad = (out > 0.0).astype(np.float64) if lt.activation == "relu" else out * (1.0 - out)
+    g = dz * act_grad
+
+    def halves(p, live=None):
+        if live is not None:
+            p = np.where(live[..., None], p, -np.inf)
+        if p.shape[-2] % 2:
+            pad = np.full(p.shape[:-2] + (1, p.shape[-1]), -np.inf)
+            p = np.concatenate([p, pad], axis=-2)
+        return p[..., 0::2, :], p[..., 1::2, :]
+
+    def grid_sum(a, b):
+        return a[..., :, None, :] + b[..., None, :, :]
+
+    def route(second, axis):
+        first = np.where(second, 0.0, g).sum(axis=axis)
+        other = np.where(second, g, 0.0).sum(axis=axis)
+        return np.stack([first, other], axis=-2).reshape(*first.shape[:-2], -1, first.shape[-1])
+
+    (first_x, second_x), (first_y, second_y) = halves(lt.px), halves(lt.py)
+    live_first_x, live_second_x = halves(lt.px, lt.live_x)
+    live_first_y, live_second_y = halves(lt.py, lt.live_y)
+    t1 = grid_sum(np.maximum(live_first_x, live_second_x), np.maximum(first_y, second_y))
+    t2 = grid_sum(np.maximum(first_x, second_x), np.maximum(live_first_y, live_second_y))
+    idx1 = grid_sum(2 * (live_second_x > live_first_x).view(np.int8),
+                    (second_y > first_y).view(np.int8))
+    idx2 = grid_sum(2 * (second_x > first_x).view(np.int8),
+                    (live_second_y > live_first_y).view(np.int8))
+    win = np.minimum(np.where(t1 >= t2, idx1, 4), np.where(t2 >= t1, idx2, 4))
+    gx = route(win >= 2, axis=-2)
+    gy = route((win & 1).view(np.bool_), axis=-3)
+    n = lt.px.shape[-2]
+    return gx[..., :n, :], gy[..., :n, :]
+
+
 def ref_wordembed_score(model, sx, sy):
     dim = sx.x.shape[1]
     vx = [sum(sx.x[r][c] for r in range(sx.x.shape[0])) for c in range(dim)]

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import (_pair_pool_backward, build_arc2, conv2d_gated,
@@ -13,7 +14,7 @@ from arcmatch.models import param_vector, set_param_vector
 from arcmatch.tensor import activate_grad_from_output, finite_diff, make_rng
 
 from conftest import random_sentence, sentence_from_matrix, small_table
-from reference import ref_arc2_score, ref_arc2_stack
+from reference import ref_arc2_score, ref_arc2_stack, ref_pair_pool_backward
 
 
 def _model(seed=0, **kw):
@@ -303,6 +304,51 @@ def test_stacked_route_equals_per_pair_route_when_sums_round_together():
         assert np.array_equal(gx[c], gx1) and np.array_equal(gy[c], gy1)
         want_x, want_y = _loop_pair_pool_backward(lt1, dz[c])
         assert np.array_equal(gx1, want_x) and np.array_equal(gy1, want_y)
+
+
+# leading shapes of (x, y): a lone pair, and stacks that broadcast
+_LEADS = [((), ()), ((3,), (3,)), ((3,), (2, 3)), ((1, 3), (2, 3)), ((2, 3), (1, 3)),
+          ((3,), ())]
+
+
+@st.composite
+def _first_layer_cases(draw):
+    """A first layer and its pooled-output gradient: odd and even sides,
+    windows of 1 or 2 words, one to three maps, dead windows anywhere,
+    small-integer values (so that ties are common) or arbitrary ones, relu
+    or sigmoid. The structure is drawn, the values come from a drawn seed."""
+    k1, dim, maps = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    max_len = draw(st.integers(k1 + 1, 20))
+    lead_x, lead_y = draw(st.sampled_from(_LEADS))
+    dead, integers = draw(st.floats(0.0, 1.0)), draw(st.booleans())
+    activation = draw(st.sampled_from(["relu", "sigmoid"]))
+    rng = make_rng(draw(st.integers(0, 2 ** 32)))
+
+    def values(shape):
+        return rng.integers(-2, 3, size=shape).astype(np.float64) if integers \
+            else rng.normal(size=shape)
+
+    def sentences(lead):
+        x = values((*lead, max_len, dim))
+        x[rng.random((*lead, max_len)) < dead] = 0.0
+        return x
+
+    x, y = sentences(lead_x), sentences(lead_y)
+    w = rng.integers(-2, 3, size=(maps, 2 * k1 * dim)).astype(np.float64)
+    b = rng.integers(-1, 2, size=maps).astype(np.float64)
+    pooled, _, lt = interaction_conv1d(x, y, w, b, k1, activation)
+    return values(pooled.shape), lt
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_first_layer_cases())
+def test_pooled_route_equals_full_grid_route_bit_for_bit(case):
+    # compared as bytes, so that +0.0 and -0.0 differ too
+    dz, lt = case
+    gx, gy = _pair_pool_backward(dz, lt)
+    want_x, want_y = ref_pair_pool_backward(dz, lt)
+    assert gx.shape == want_x.shape and gy.shape == want_y.shape
+    assert gx.tobytes() == want_x.tobytes() and gy.tobytes() == want_y.tobytes()
 
 
 def _arrays(obj):

@@ -329,6 +329,14 @@ def test_ranking_without_negatives_is_config_error(trained, synth_dir, tmp_path,
     assert "negative" in proc.stderr
 
 
+@pytest.mark.parametrize("negatives", ["0", "-1"])
+def test_training_without_negatives_is_config_error(synth_dir, tmp_path, negatives):
+    proc = _run_cli(_train_args(synth_dir, tmp_path, "--train-negatives", negatives))
+    _assert_exit_1(proc, "config error:")
+    assert "negative" in proc.stderr
+    assert not list(tmp_path.iterdir())  # no checkpoint, history or embeddings
+
+
 @pytest.mark.parametrize("split", ["a/b/c", "120/-10/-10", "80/10", "80/10/10/0"])
 def test_malformed_split_is_usage_error(tmp_path, split):
     out = tmp_path / "synth"

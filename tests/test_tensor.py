@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from arcmatch.errors import NumericError
+from arcmatch.errors import NumericError, ShapeError
 from arcmatch.tensor import (activate, finite_diff, init_uniform, make_rng, relu,
-                             sigmoid)
+                             sigmoid, split_by)
 
 
 def test_relu_and_sigmoid_values():
@@ -68,3 +68,28 @@ def test_purity_same_rng_state_same_output():
     a = init_uniform((4, 4), 2, 2, make_rng(9))
     b = init_uniform((4, 4), 2, 2, make_rng(9))
     assert a.tobytes() == b.tobytes()
+
+
+def test_split_by_is_where_bit_for_bit():
+    # signed zeros, infinities, NaNs with payloads and signs, subnormals
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.5, -3.0])
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    values = np.concatenate([special, nans])
+    rng = make_rng(17)
+    g = rng.choice(values, size=(4, 6, 24))
+    mask = rng.random((4, 6, 24)) < 0.5
+    cases = [(mask, g), (mask[:, :1], g),                      # broadcast mask
+             (mask[::2, ::-1], g[1::2, ::-1]),                 # strided views
+             (mask[..., 1::3], g[..., ::3]),
+             (mask.T, g.T)]
+    for m, v in cases:
+        unselected, selected = split_by(m, v)
+        assert unselected.tobytes() == np.where(m, 0.0, v).tobytes()
+        assert selected.tobytes() == np.where(m, v, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128])
+def test_split_by_rejects_other_dtypes(dtype):
+    with pytest.raises(ShapeError):
+        split_by(np.ones(3, dtype=bool), np.ones(3, dtype=dtype))

@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,3 +288,28 @@ def test_sgd_steps_reuse_the_heap_instead_of_faulting_pages_in():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 100
+
+
+def test_readme_arc2_step_stays_under_its_memory_budget():
+    # One SGD step of 64 triples holds a chunk's trace and its backward's
+    # temporaries (5.5 MB at chunks of 32, 10.2 MB at 64). A larger chunk,
+    # or a step that keeps one chunk's arrays through the next, would raise
+    # the process's peak resident memory with it.
+    from arcmatch import (build_arc2, encode_triples, gen_synthetic_corpus,
+                          random_embeddings, sample_negatives)
+
+    corpus, tokens = gen_synthetic_corpus(200, 400, (7, 12), 10, make_rng(0))
+    table = random_embeddings(tokens, 16, make_rng(1))
+    triples = encode_triples(sample_negatives(corpus, 2, "random", None, make_rng(2)),
+                             table, max_len=12)
+    model = build_arc2(16, 12, make_rng(3), window1=3, maps1=32,
+                       twod_layers=((2, 32), (2, 64)), hidden=(64,))
+    cfg = TrainConfig(learning_rate=0.4, batch_size=64, finetune_embeddings=True)
+    sgd_step(model, triples[:64], cfg, make_rng(0), table)  # warm-up
+    tracemalloc.start()
+    try:
+        sgd_step(model, triples[64:128], cfg, make_rng(0), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6
