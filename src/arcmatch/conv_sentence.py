@@ -148,6 +148,14 @@ def _windows(n_in: tuple, k: int) -> tuple:
                  for offsets in itertools.product(range(k), repeat=len(n_in)))
 
 
+@functools.lru_cache(maxsize=None)
+def _paired_extents(n: tuple):
+    """n with each odd extent rounded up to even; None when all are even."""
+    if not any(e % 2 for e in n):
+        return None
+    return tuple(e + e % 2 for e in n)
+
+
 def conv_pre(z: np.ndarray, w: np.ndarray, b, k: int, nd: int = 1):
     """Affine step of a convolution on the k-per-axis windows of z
     [..., *n, F_in]: returns (pre-activation [..., *(n-k+1), F_out], live
@@ -193,9 +201,10 @@ def pad_pairs(z: np.ndarray, nd: int, fill: float) -> np.ndarray:
     """z [..., *n, F] with each odd spatial extent padded by one unit of
     `fill`, so that the units along every axis pair up."""
     n = z.shape[-1 - nd:-1]
-    if not any(e % 2 for e in n):
+    paired = _paired_extents(n)
+    if paired is None:
         return z
-    shape = z.shape[:-1 - nd] + tuple(e + e % 2 for e in n) + z.shape[-1:]
+    shape = z.shape[:-1 - nd] + paired + z.shape[-1:]
     out = np.full(shape, fill) if fill else np.zeros(shape)
     out[_windows(n, 1)[0]] = z  # units [0, n) of each axis
     return out

@@ -10,11 +10,13 @@ Negative modes:
             order separates it from the truth.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, EncodedSentence, RunStats, encode_sentence, tokenize
+from .embeddings import (EmbeddingTable, EncodedSentence, RunStats, encode_block,
+                         encode_sentence, tokenize)
 from .errors import ConfigError, DataError, ParseError
 from .training import Triple
 
@@ -101,83 +103,155 @@ def save_triples(triples, path: str) -> None:
 
 
 def _sumvec(tokens, table: EmbeddingTable) -> np.ndarray:
-    return table.vectors[[table.vocab.index(t) for t in tokens]].sum(axis=0)
+    return table.vectors[table.vocab.indices(tokens)].sum(axis=0)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+def _cosine(a, b) -> float:
+    """Cosine of two (vector, norm) pairs; 0 when either norm is 0."""
+    (u, nu), (v, nv) = a, b
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(u @ v / (nu * nv))
 
 
-def _draw_negative(corpus, idx, y_pos, mode, table, rng,
-                   stats: RunStats | None, taken=()):
-    """One y-negative for pair idx; returns None when it must be skipped."""
-    n = len(corpus.pairs)
-    if mode == "shuffle":
-        if len(y_pos) < 2 or len(set(y_pos)) < 2:
-            if stats is not None:
-                stats.shuffle_skipped += 1
-            return None
-        for _ in range(200):
-            perm = list(rng.permutation(len(y_pos)))
-            cand = [y_pos[i] for i in perm]
-            if cand != y_pos and tuple(cand) not in taken:
-                return cand
+def _random_negatives(ys, pairs, k, rng, taken=None) -> list:
+    """For each pair index idx in pairs, k negatives: ys[j] for uniform
+    draws j, rejecting j == idx, ys[idx] itself and (with one pair) any
+    tuple in taken, which grows by each negative.
+
+    The draws, and the generator's state after them, are those of drawing
+    one j at a time through the pairs: rng.integers(n, size=c) yields the
+    values, and leaves the state, of c scalar draws. So the draws are
+    fetched in blocks, none longer than the count of negatives still to
+    draw, nor than the tries left to the negative being drawn (100 n).
+    """
+    n = len(ys)
+    cap = 100 * max(n, 2)
+    out, draws, left = [], iter(()), k * len(pairs)
+    for idx in pairs:
+        y_pos, got, tries = ys[idx], [], 0
+        while len(got) < k:
+            j = next(draws, None)
+            if j is None:
+                draws = iter(rng.integers(n, size=min(left, cap - tries)).tolist())
+                continue
+            cand = ys[j]
+            if j == idx or cand == y_pos or taken is not None and tuple(cand) in taken:
+                tries += 1
+                if tries == cap:
+                    raise DataError("corpus too small to draw a distinct random negative")
+                continue
+            got.append(cand)
+            left, tries = left - 1, 0
+            if taken is not None:
+                taken.add(tuple(cand))
+        out.append(got)
+    return out
+
+
+def _shuffle_negative(y_pos, rng, stats: RunStats | None, taken=()):
+    """A permutation of y_pos's tokens; None when it must be skipped."""
+    if len(y_pos) < 2 or len(set(y_pos)) < 2:
         if stats is not None:
             stats.shuffle_skipped += 1
         return None
+    for _ in range(200):
+        perm = list(rng.permutation(len(y_pos)))
+        cand = [y_pos[i] for i in perm]
+        if cand != y_pos and tuple(cand) not in taken:
+            return cand
+    if stats is not None:
+        stats.shuffle_skipped += 1
+    return None
+
+
+def _hard_negative(ys, idx, summed, rng, stats: RunStats | None, taken=()):
+    """The first drawn y whose cosine to ys[idx] is in HARD_BAND, else the
+    closest to the band's middle after HARD_NEGATIVE_DRAW_CAP draws."""
+    n, y_pos = len(ys), ys[idx]
+    ref = summed(idx)
+    best, best_gap = None, np.inf
+    lo, hi = HARD_BAND
+    if stats is not None:
+        stats.hard_negatives += 1
+    for _ in range(HARD_NEGATIVE_DRAW_CAP):
+        j = int(rng.integers(n))
+        cand = ys[j]
+        if j == idx or cand == y_pos or tuple(cand) in taken:
+            continue
+        c = _cosine(ref, summed(j))
+        if lo <= c <= hi:
+            return cand
+        gap = abs(c - (lo + hi) / 2.0)
+        if gap < best_gap:
+            best, best_gap = cand, gap
+    if best is None:
+        raise DataError("corpus too small to draw a distinct hard negative")
+    if stats is not None:
+        stats.hard_negative_fallbacks += 1
+    return best
+
+
+def _sampler(corpus: PairCorpus, mode: str, table: EmbeddingTable | None,
+             rng: np.random.Generator, stats: RunStats | None):
+    """draw(pairs, k, taken=None) -> per pair index in pairs, its
+    negatives in the order drawn.
+
+    Random mode fills all k or raises. The other modes draw one at a time;
+    one that must be skipped is left out, and with taken (one pair, whose
+    negatives must all be distinct) drawing stops there.
+    """
+    ys = [y for _, y in corpus.pairs]
     if mode == "random":
-        for _ in range(100 * max(n, 2)):
-            j = int(rng.integers(n))
-            cand = corpus.pairs[j][1]
-            if j != idx and cand != y_pos and tuple(cand) not in taken:
-                return cand
-        raise DataError("corpus too small to draw a distinct random negative")
-    if mode == "hard":
+        return lambda pairs, k, taken=None: _random_negatives(ys, pairs, k, rng, taken)
+    if mode == "shuffle":
+        def one(idx, taken):
+            return _shuffle_negative(ys[idx], rng, stats, taken)
+    elif mode == "hard":
         if table is None:
             raise DataError("hard-negative sampling requires an embedding table")
-        ref = _sumvec(y_pos, table)
-        best, best_gap = None, np.inf
-        lo, hi = HARD_BAND
-        if stats is not None:
-            stats.hard_negatives += 1
-        for _ in range(HARD_NEGATIVE_DRAW_CAP):
-            j = int(rng.integers(n))
-            cand = corpus.pairs[j][1]
-            if j == idx or cand == y_pos or tuple(cand) in taken:
-                continue
-            c = _cosine(ref, _sumvec(cand, table))
-            if lo <= c <= hi:
-                return cand
-            gap = abs(c - (lo + hi) / 2.0)
-            if gap < best_gap:
-                best, best_gap = cand, gap
-        if best is None:
-            raise DataError("corpus too small to draw a distinct hard negative")
-        if stats is not None:
-            stats.hard_negative_fallbacks += 1
-        return best
-    raise ConfigError(f"unknown negative-sampling mode {mode!r}")
+
+        @functools.cache
+        def summed(j):
+            """ys[j]'s summed word vector and its norm, once per call."""
+            u = _sumvec(ys[j], table)
+            return u, np.linalg.norm(u)
+
+        def one(idx, taken):
+            return _hard_negative(ys, idx, summed, rng, stats, taken)
+    else:
+        raise ConfigError(f"unknown negative-sampling mode {mode!r}")
+
+    def negatives(idx, k, taken):
+        out = []
+        for _ in range(k):
+            y_neg = one(idx, () if taken is None else taken)
+            if y_neg is None:
+                if taken is None:
+                    continue
+                break
+            out.append(y_neg)
+            if taken is not None:
+                taken.add(tuple(y_neg))
+        return out
+
+    return lambda pairs, k, taken=None: [negatives(idx, k, taken) for idx in pairs]
 
 
 def sample_negatives(corpus: PairCorpus, per_positive: int, mode: str,
                      table: EmbeddingTable | None, rng: np.random.Generator,
                      stats: RunStats | None = None) -> list:
-    """Token-level triples: per positive pair, per_positive negatives."""
+    """Token-level triples: per positive pair, per_positive negatives
+    (fewer where shuffle or hard mode must skip one)."""
     if per_positive < 1:
         raise ConfigError(f"training needs at least 1 negative per pair, got {per_positive}")
     if len(corpus.pairs) < 2:
         raise DataError("need at least 2 pairs to sample negatives")
-    triples = []
-    for idx, (x, y_pos) in enumerate(corpus.pairs):
-        for _ in range(per_positive):
-            y_neg = _draw_negative(corpus, idx, y_pos, mode, table, rng, stats)
-            if y_neg is None:
-                continue
-            triples.append(TokenTriple(x=x, y_pos=y_pos, y_neg=y_neg))
-    return triples
+    draw = _sampler(corpus, mode, table, rng, stats)
+    return [TokenTriple(x=x, y_pos=y_pos, y_neg=y_neg)
+            for (x, y_pos), negatives in zip(corpus.pairs,
+                                             draw(range(len(corpus.pairs)), per_positive))
+            for y_neg in negatives]
 
 
 def make_eval_instances(corpus: PairCorpus, m: int, mode: str,
@@ -188,48 +262,47 @@ def make_eval_instances(corpus: PairCorpus, m: int, mode: str,
         raise ConfigError(f"a ranking instance needs at least 1 negative, got {m}")
     if len(corpus.pairs) < 2:
         raise DataError("need at least 2 pairs to build ranking instances")
+    draw = _sampler(corpus, mode, table, rng, stats)
     instances = []
     for idx, (x, y_pos) in enumerate(corpus.pairs):
-        negatives = []
-        taken = {tuple(y_pos)}
-        for _ in range(m):
-            y_neg = _draw_negative(corpus, idx, y_pos, mode, table, rng,
-                                   stats, taken=taken)
-            if y_neg is None:
-                break
-            negatives.append(y_neg)
-            taken.add(tuple(y_neg))
+        [negatives] = draw([idx], m, taken={tuple(y_pos)})
         if len(negatives) < m:
             continue  # skip instances that cannot be filled (counted via stats)
         candidates = [y_pos, *negatives]
         order = rng.permutation(len(candidates))
         shuffled = [candidates[i] for i in order]
-        answer = int(np.argwhere(order == 0)[0][0])
+        answer = int(order.argmin())  # where the true y (index 0) went
         instances.append(RankingInstance(x=x, candidates=shuffled, answer=answer))
     return instances
 
 
-def _encoder(table: EmbeddingTable, max_len: int, stats: RunStats | None):
-    """encode_sentence with one EncodedSentence per distinct token list.
+def _encode_shared(slots, table: EmbeddingTable, max_len: int,
+                   stats: RunStats | None) -> list:
+    """encode_sentence of every token list in slots, one EncodedSentence
+    per distinct list.
 
-    Equal token lists get the same object, so one call's triples or
-    instances share each sentence's matrix. stats still counts every
-    occurrence, truncated ones included.
+    Equal lists get the same object, and the distinct sentences' matrices
+    are views of one zero block filled by a single row gather. stats
+    counts every slot, truncated ones included. Slots are matched by
+    object first (slots holds them, so no id is reused) and by tuple
+    once per object.
     """
-    cache = {}
-
-    def encode(tokens) -> EncodedSentence:
-        key = tuple(tokens)
-        sent = cache.get(key)
-        if sent is None:
-            sent = cache[key] = encode_sentence(tokens, table, max_len, stats)
-        elif stats is not None:
-            stats.sentences += 1
-            if len(tokens) > max_len:
-                stats.truncated += 1
-        return sent
-
-    return encode
+    keys = list(map(id, slots))
+    objects = dict(zip(keys, slots))  # in first-occurrence order
+    if max_len < 1 or not all(objects.values()):
+        # fail where one-at-a-time encoding does, with the same counts
+        for tokens in slots:
+            encode_sentence(tokens, table, max_len, stats)
+    distinct, index = {}, {}
+    for key, tokens in objects.items():
+        index[key] = distinct.setdefault(tuple(tokens), len(distinct))
+    sents = encode_block(list(distinct), table, max_len)
+    if stats is not None:
+        stats.sentences += len(slots)
+        if any(len(tokens) > max_len for tokens in distinct):  # else no slot is
+            stats.truncated += sum(len(tokens) > max_len for tokens in slots)
+    sent_of = {key: sents[i] for key, i in index.items()}
+    return list(map(sent_of.__getitem__, keys))
 
 
 def encode_triples(triples, table: EmbeddingTable, max_len: int,
@@ -237,18 +310,19 @@ def encode_triples(triples, table: EmbeddingTable, max_len: int,
     """Encoded triples; every occurrence of a token list shares one
     EncodedSentence, whose .x is read-only except through
     training._refresh."""
-    encode = _encoder(table, max_len, stats)
-    return [Triple(x=encode(t.x), y_pos=encode(t.y_pos), y_neg=encode(t.y_neg))
-            for t in triples]
+    sents = iter(_encode_shared([s for t in triples for s in (t.x, t.y_pos, t.y_neg)],
+                                table, max_len, stats))
+    return list(map(Triple, sents, sents, sents))
 
 
 def encode_instances(instances, table: EmbeddingTable, max_len: int,
                      stats: RunStats | None = None) -> list:
     """Encoded ranking instances; sentences are shared as in
     encode_triples."""
-    encode = _encoder(table, max_len, stats)
-    return [EncodedInstance(x=encode(inst.x),
-                            candidates=[encode(c) for c in inst.candidates],
+    sents = iter(_encode_shared([s for inst in instances for s in (inst.x, *inst.candidates)],
+                                table, max_len, stats))
+    return [EncodedInstance(x=next(sents),
+                            candidates=[next(sents) for _ in inst.candidates],
                             answer=inst.answer)
             for inst in instances]
 

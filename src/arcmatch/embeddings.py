@@ -6,6 +6,7 @@ all-zero, so the all-zero gate in the convolution layers fires only on
 genuine padding.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ class Vocabulary:
         """Index of token, or 0 (<unk>) when absent."""
         return self.token_to_index.get(token, 0)
 
+    def indices(self, tokens) -> list[int]:
+        """index() of each token."""
+        return list(map(self.token_to_index.get, tokens, itertools.repeat(0)))
+
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_index
 
@@ -60,7 +65,8 @@ class EncodedSentence:
     data.encode_triples and data.encode_instances share one EncodedSentence
     among every occurrence of a token list, so .x is read-only; only
     training._refresh writes it, and it writes the same table rows for
-    every sharer.
+    every sharer. Their .x are views, one per sentence, of a block that
+    encode_block fills in one gather.
     """
 
     ids: list[int]
@@ -172,6 +178,13 @@ def random_embeddings(tokens, dim: int, rng: np.random.Generator) -> EmbeddingTa
     return EmbeddingTable(vocab=vocab, dim=dim, vectors=vectors)
 
 
+def _check_encodable(tokens, max_len: int) -> None:
+    if not tokens:
+        raise DataError("cannot encode an empty sentence")
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+
+
 def encode_sentence(tokens, table: EmbeddingTable, max_len: int,
                     stats: RunStats | None = None) -> EncodedSentence:
     """Map tokens to a padded [max_len, dim] matrix.
@@ -179,20 +192,34 @@ def encode_sentence(tokens, table: EmbeddingTable, max_len: int,
     Unknown tokens map to <unk>; sentences longer than max_len are
     truncated (counted in stats, not an error).
     """
-    if not tokens:
-        raise DataError("cannot encode an empty sentence")
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
+    _check_encodable(tokens, max_len)
     if stats is not None:
         stats.sentences += 1
     if len(tokens) > max_len:
         if stats is not None:
             stats.truncated += 1
         tokens = tokens[:max_len]
-    ids = [table.vocab.index(t) for t in tokens]
+    ids = table.vocab.indices(tokens)
     x = np.zeros((max_len, table.dim), dtype=np.float64)
-    x[: len(ids)] = table.vectors[ids]
+    x[: len(ids)] = table.vectors.take(ids, axis=0)
     return EncodedSentence(ids=ids, length=len(ids), x=x)
+
+
+def encode_block(sentences, table: EmbeddingTable, max_len: int) -> list:
+    """encode_sentence of each token list, counting no stats; the
+    matrices are views of one [len(sentences), max_len, dim] block, filled
+    by one row gather."""
+    for tokens in sentences:
+        _check_encodable(tokens, max_len)
+    sentences = [tokens[:max_len] for tokens in sentences]
+    lengths = list(map(len, sentences))
+    flat = table.vocab.indices(itertools.chain.from_iterable(sentences))
+    ends = itertools.accumulate(lengths)
+    ids = [flat[end - n:end] for end, n in zip(ends, lengths)]
+    block = np.zeros((len(ids), max_len, table.dim), dtype=np.float64)
+    rows = np.flatnonzero(np.arange(max_len) < np.array(lengths)[:, None])
+    block.reshape(-1, table.dim)[rows] = table.vectors.take(flat, axis=0)
+    return list(map(EncodedSentence, ids, lengths, block))
 
 
 def write_embeddings(table: EmbeddingTable, path: str) -> None:

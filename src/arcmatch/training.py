@@ -80,7 +80,7 @@ def _refresh(sent: EncodedSentence, table) -> None:
     data.encode_triples); the rows written depend only on its ids, so every
     sharer sees the matrix it would have been encoded with from the table.
     """
-    sent.x[: sent.length] = table.vectors[sent.ids]
+    sent.x[: sent.length] = table.vectors.take(sent.ids, axis=0)
 
 
 @functools.cache

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from arcmatch.errors import DataError
+
 
 def ref_affine(w, v, b):
     m, n = len(w), len(v)
@@ -251,3 +253,40 @@ def ref_layer_lengths(max_len, windows, global_pool=False):
         lengths.append((conv, pooled))
         length = pooled
     return lengths
+
+
+def ref_random_negative(pairs, idx, rng, taken=()):
+    """One random negative for pair idx, one draw at a time: another
+    pair's y, not y+ itself nor in taken; 100 n tries."""
+    y_pos = pairs[idx][1]
+    for _ in range(100 * max(len(pairs), 2)):
+        j = int(rng.integers(len(pairs)))
+        cand = pairs[j][1]
+        if j != idx and cand != y_pos and tuple(cand) not in taken:
+            return cand
+    raise DataError("corpus too small to draw a distinct random negative")
+
+
+def ref_random_triples(pairs, k, rng):
+    """sample_negatives in random mode, as (x, y+, y-) tuples."""
+    triples = []
+    for idx, (x, y_pos) in enumerate(pairs):
+        for _ in range(k):
+            triples.append((x, y_pos, ref_random_negative(pairs, idx, rng)))
+    return triples
+
+
+def ref_random_instances(pairs, m, rng):
+    """make_eval_instances in random mode, as (x, candidates, answer)."""
+    instances = []
+    for idx, (x, y_pos) in enumerate(pairs):
+        taken = {tuple(y_pos)}
+        candidates = [y_pos]
+        for _ in range(m):
+            y_neg = ref_random_negative(pairs, idx, rng, taken)
+            candidates.append(y_neg)
+            taken.add(tuple(y_neg))
+        order = rng.permutation(len(candidates))
+        answer = [int(i) for i in order].index(0)
+        instances.append((x, [candidates[int(i)] for i in order], answer))
+    return instances

@@ -112,6 +112,17 @@ def test_encoding_checks_still_run():
         encode_triples([TokenTriple(["a"], [], ["b"])], table, MAX_LEN)
     with pytest.raises(DataError):
         encode_triples([TokenTriple(["a"], ["b"], ["c"])], table, 0)
+    assert encode_triples([], table, 0) == []
+
+
+def test_an_encoding_error_leaves_the_counts_of_the_slots_before_it():
+    _, table = _corpus(10)
+    long = ["a"] * (MAX_LEN + 3)
+    stats = RunStats()
+    with pytest.raises(DataError, match="empty"):
+        encode_triples([TokenTriple(long, ["b"], ["c"]), TokenTriple(long, ["b"], [])],
+                       table, MAX_LEN, stats)
+    assert (stats.sentences, stats.truncated) == (5, 2)
 
 
 SETTINGS = {
