@@ -11,8 +11,8 @@ import sys
 
 from . import data as dp
 from .checkpoint import load_checkpoint, save_checkpoint
-from .embeddings import (RunStats, encode_sentence, load_embeddings,
-                         random_embeddings, tokenize, write_embeddings)
+from .embeddings import (RunStats, encode_sentence, load_embeddings, numbered_lines,
+                         open_text, random_embeddings, tokenize, write_embeddings)
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
 from .metrics import classify_eval, p_at_1, select_threshold
@@ -128,8 +128,8 @@ def build_parser() -> _Parser:
 def _collect_tokens(paths) -> set:
     tokens = set()
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with open_text(path) as fh:
+            for _, line in numbered_lines(fh):
                 for part in line.split("\t"):
                     tokens.update(tokenize(part))
     return tokens
@@ -137,7 +137,7 @@ def _collect_tokens(paths) -> set:
 
 def _table_from_args(args, vocab_paths):
     if args.embeddings:
-        with open(args.embeddings, encoding="utf-8") as fh:
+        with open_text(args.embeddings) as fh:
             return load_embeddings(fh)
     if args.random_embeddings:
         seed = args.embed_seed if args.embed_seed is not None else args.seed
@@ -214,9 +214,9 @@ def cmd_train(args) -> int:
     cfg.validate()
     rng = make_rng(args.seed)
     stats = RunStats()
-    with open(args.train_file, encoding="utf-8") as fh:
+    with open_text(args.train_file) as fh:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
-    with open(args.val_file, encoding="utf-8") as fh:
+    with open_text(args.val_file) as fh:
         val_corpus = dp.load_pairs(fh, provenance=args.val_file)
     table = _table_from_args(args, [args.train_file, args.val_file])
     if args.random_embeddings:
@@ -268,7 +268,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--classify needs --threshold or --dev FILE")
         report = classify_eval(scorer, labeled, threshold)
     else:
-        with open(args.data, encoding="utf-8") as fh:
+        with open_text(args.data) as fh:
             corpus = dp.load_pairs(fh, provenance=args.data)
         rng = make_rng(args.seed)
         instances = dp.make_eval_instances(corpus, args.negatives, args.neg_mode,
@@ -283,8 +283,8 @@ def cmd_eval(args) -> int:
 
 def _load_labeled(path):
     labeled = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(path) as fh:
+        for lineno, raw in numbered_lines(fh):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
@@ -320,7 +320,7 @@ def cmd_score(args) -> int:
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)
     if args.pair_file:
-        with open(args.pair_file, encoding="utf-8") as fh:
+        with open_text(args.pair_file) as fh:
             corpus = dp.load_pairs(fh, provenance=args.pair_file)
         for x, y in corpus.pairs:
             print(f"{scorer(x, y):.6f}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import (EmbeddingTable, EncodedSentence, RunStats, encode_block,
-                         encode_sentence, tokenize)
+                         encode_sentence, numbered_lines, tokenize)
 from .errors import ConfigError, DataError, ParseError
 from .training import Triple
 
@@ -57,7 +57,7 @@ class EncodedInstance:
 def load_pairs(source, provenance: str = "") -> PairCorpus:
     """One pair per line: x-tokens TAB y-tokens."""
     pairs = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -80,7 +80,7 @@ def save_pairs(corpus: PairCorpus, path: str) -> None:
 def load_triples(source) -> list:
     """One triple per line: x-tokens TAB y+-tokens TAB y--tokens."""
     triples = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -167,20 +167,26 @@ def _shuffle_negative(y_pos, rng, stats: RunStats | None, taken=()):
 
 def _hard_negative(ys, idx, summed, rng, stats: RunStats | None, taken=()):
     """The first drawn y whose cosine to ys[idx] is in HARD_BAND, else the
-    closest to the band's middle after HARD_NEGATIVE_DRAW_CAP draws."""
+    closest to the band's middle after HARD_NEGATIVE_DRAW_CAP draws.
+
+    The cap's draws come from one rng.integers call. When draw i is
+    accepted, the generator is rewound and draws i + 1 again, so it ends
+    where drawing one at a time would (see _random_negatives)."""
     n, y_pos = len(ys), ys[idx]
     ref = summed(idx)
     best, best_gap = None, np.inf
     lo, hi = HARD_BAND
     if stats is not None:
         stats.hard_negatives += 1
-    for _ in range(HARD_NEGATIVE_DRAW_CAP):
-        j = int(rng.integers(n))
+    state = rng.bit_generator.state
+    for i, j in enumerate(rng.integers(n, size=HARD_NEGATIVE_DRAW_CAP).tolist()):
         cand = ys[j]
         if j == idx or cand == y_pos or tuple(cand) in taken:
             continue
         c = _cosine(ref, summed(j))
         if lo <= c <= hi:
+            rng.bit_generator.state = state
+            rng.integers(n, size=i + 1)
             return cand
         gap = abs(c - (lo + hi) / 2.0)
         if gap < best_gap:

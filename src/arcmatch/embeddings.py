@@ -97,15 +97,40 @@ def tokenize(line: str) -> list[str]:
     return line.split()
 
 
+def open_text(path: str):
+    """path opened for numbered_lines: undecodable bytes are kept as lone
+    surrogates, so the line that holds them is the one reported."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def numbered_lines(source):
+    """(line number, line) for each line of source, an iterable of text
+    lines. A line that is not UTF-8 raises ParseError: with its number
+    from an open_text file; from a file that decodes strictly, which
+    fails a whole buffer ahead, with the first line it may be."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(source, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("line is not UTF-8 text", line=lineno) from None
+            yield lineno, line
+    except UnicodeDecodeError as err:
+        raise ParseError(f"a line at or after line {lineno + 1} is not UTF-8: "
+                         f"{err.reason}") from None
+
+
 def load_embeddings(source) -> EmbeddingTable:
     """Parse word2vec text format: header "V D", then V lines "token v1 .. vD".
 
     The <unk> row is set to the arithmetic mean of all loaded vectors.
     `source` is an iterable of text lines (an open file works).
     """
-    lines = iter(source)
+    lines = numbered_lines(source)
     try:
-        header = next(lines)
+        _, header = next(lines)
     except StopIteration:
         raise ParseError("empty embedding source", line=1)
     parts = header.split()
@@ -120,7 +145,7 @@ def load_embeddings(source) -> EmbeddingTable:
 
     vocab = Vocabulary()
     rows = [np.zeros(dim)]  # placeholder for <unk>, filled below
-    for lineno, raw in enumerate(lines, start=2):
+    for lineno, raw in lines:
         if lineno - 1 > count:
             break
         fields = raw.split()

@@ -43,6 +43,10 @@ class CheckpointVersionError(CheckpointError):
     """Checkpoint magic/version line does not match."""
 
 
+class CheckpointHeaderError(CheckpointError):
+    """A checkpoint header line is not UTF-8 text."""
+
+
 class CheckpointChecksumError(CheckpointError):
     """Parameter blob checksum mismatch (truncated or corrupted file)."""
 

@@ -267,26 +267,68 @@ def ref_random_negative(pairs, idx, rng, taken=()):
     raise DataError("corpus too small to draw a distinct random negative")
 
 
-def ref_random_triples(pairs, k, rng):
-    """sample_negatives in random mode, as (x, y+, y-) tuples."""
+def ref_hard_negative(pairs, idx, table, rng, stats, taken=()):
+    """One hard negative for pair idx, one draw at a time: the first y
+    whose summed-vector cosine to y+ lies in [0.7, 0.8], else after 1000
+    draws the closest to 0.75, counted in stats.hard_negative_fallbacks."""
+    def summed(tokens):
+        u = table.vectors[table.vocab.indices(tokens)].sum(axis=0)
+        return u, np.linalg.norm(u)
+
+    y_pos = pairs[idx][1]
+    u, nu = summed(y_pos)
+    best, best_gap = None, math.inf
+    for _ in range(1000):
+        j = int(rng.integers(len(pairs)))
+        cand = pairs[j][1]
+        if j == idx or cand == y_pos or tuple(cand) in taken:
+            continue
+        v, nv = summed(cand)
+        c = 0.0 if nu == 0.0 or nv == 0.0 else float(u @ v / (nu * nv))
+        if 0.7 <= c <= 0.8:
+            return cand
+        if abs(c - (0.7 + 0.8) / 2.0) < best_gap:
+            best, best_gap = cand, abs(c - (0.7 + 0.8) / 2.0)
+    if best is None:
+        raise DataError("corpus too small to draw a distinct hard negative")
+    stats.hard_negative_fallbacks += 1
+    return best
+
+
+def ref_triples(pairs, k, negative):
+    """sample_negatives as (x, y+, y-) tuples; negative(idx, taken) draws
+    one negative for pair idx."""
     triples = []
     for idx, (x, y_pos) in enumerate(pairs):
         for _ in range(k):
-            triples.append((x, y_pos, ref_random_negative(pairs, idx, rng)))
+            triples.append((x, y_pos, negative(idx, ())))
     return triples
 
 
-def ref_random_instances(pairs, m, rng):
-    """make_eval_instances in random mode, as (x, candidates, answer)."""
+def ref_instances(pairs, m, rng, negative):
+    """make_eval_instances as (x, candidates, answer); negative as in
+    ref_triples."""
     instances = []
     for idx, (x, y_pos) in enumerate(pairs):
         taken = {tuple(y_pos)}
         candidates = [y_pos]
         for _ in range(m):
-            y_neg = ref_random_negative(pairs, idx, rng, taken)
+            y_neg = negative(idx, taken)
             candidates.append(y_neg)
             taken.add(tuple(y_neg))
         order = rng.permutation(len(candidates))
         answer = [int(i) for i in order].index(0)
         instances.append((x, [candidates[int(i)] for i in order], answer))
     return instances
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def ref_fnv1a64(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h

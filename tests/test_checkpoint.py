@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import build_arc2
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from arcmatch.errors import (CheckpointChecksumError, CheckpointShapeError,
-                             CheckpointVersionError)
+from arcmatch.errors import (CheckpointChecksumError, CheckpointError,
+                             CheckpointShapeError, CheckpointVersionError)
 from arcmatch.models import param_vector
 from arcmatch.tensor import make_rng
 
@@ -136,3 +138,36 @@ def test_round_trip_preserves_p_at_1(tmp_path):
     before = p_at_1(lambda sx, sy: model.score(sx, sy)[0], instances)
     after = p_at_1(lambda sx, sy: loaded.score(sx, sy)[0], instances)
     assert before.value == after.value
+
+
+MUTATION_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow,
+                                                    HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("name", ["arc1", "arc2"])
+@settings(MUTATION_PROPERTY)
+@given(edit=st.one_of(
+    # an overwrite, weighted to the unchecksummed header, or a truncation
+    st.tuples(st.just("overwrite"), st.integers(0, 159), st.integers(0, 255)),
+    st.tuples(st.just("overwrite"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0))))
+@example(edit=("overwrite", 20, 0xFF))
+@example(edit=("overwrite", 0, 0xFF))
+@example(edit=("truncate", 0, 0))
+def test_a_damaged_checkpoint_loads_or_raises_checkpoint_error(tmp_path, name, edit):
+    # v1 checksums only the parameters, so a damaged header may still load
+    path = tmp_path / f"{name}.ckpt"
+    save_checkpoint(path, _builders()[name](make_rng(2)))
+    data = path.read_bytes()
+    kind, at, byte = edit
+    at %= len(data)
+    if kind == "overwrite":
+        data = data[:at] + bytes([byte]) + data[at + 1:]
+    else:
+        data = data[:at]
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

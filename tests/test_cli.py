@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +399,45 @@ def test_gen_synth_pairs_below_one_is_usage_error(tmp_path, pairs):
     _assert_exit_1(proc, "usage error:")
     assert "--pairs" in proc.stderr
     assert not out.exists()
+
+
+def _with_byte(src, dst, offset, byte=b"\xff"):
+    data = src.read_bytes()
+    dst.write_bytes(data[:offset] + byte + data[offset + 1:])
+    return dst
+
+
+def test_checkpoint_header_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    fixture = Path(__file__).parent / "fixtures" / "arc2.ckpt"
+    damaged = _with_byte(fixture, tmp_path / "arc2.ckpt", 20)
+    code = run(["score", "--checkpoint", str(damaged), "--random-embeddings",
+                "--x", "t0w1 t0w2", "--y", "t0w1"])
+    assert code == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+def _nth_line_offset(path, lineno):
+    """Byte offset of the second character of line lineno (1-based)."""
+    lines = path.read_bytes().split(b"\n")
+    return sum(len(line) + 1 for line in lines[:lineno - 1]) + 1
+
+
+def test_embeddings_token_that_is_not_utf8_is_a_parse_error(trained, tmp_path, capsys):
+    src = Path(str(trained) + ".embeddings.txt")
+    damaged = _with_byte(src, tmp_path / "emb.txt", _nth_line_offset(src, 3))
+    code = run(["score", "--checkpoint", str(trained), "--embeddings", str(damaged),
+                "--x", "t0w1 t0w2", "--y", "t0w1"])
+    assert code == 2
+    assert "data error: line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vectors", ["--embeddings", "--random-embeddings"])
+def test_pairs_file_that_is_not_utf8_is_a_parse_error(trained, synth_dir, tmp_path,
+                                                      capsys, vectors):
+    src = synth_dir / "test.pairs"
+    damaged = _with_byte(src, tmp_path / "test.pairs", _nth_line_offset(src, 5))
+    table = ([vectors, str(trained) + ".embeddings.txt"] if vectors == "--embeddings"
+             else [vectors, "--embed-dim", "8"])
+    code = run(["score", "--checkpoint", str(trained), *table, "--pairs", str(damaged)])
+    assert code == 2
+    assert "data error: line 5:" in capsys.readouterr().err

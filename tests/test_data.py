@@ -7,7 +7,7 @@ import pytest
 from arcmatch.data import (HARD_BAND, PairCorpus, bag_overlap_score,
                            gen_synthetic_corpus, load_pairs,
                            make_eval_instances, sample_negatives)
-from arcmatch.embeddings import RunStats, random_embeddings
+from arcmatch.embeddings import RunStats, open_text, random_embeddings
 from arcmatch.errors import ConfigError, DataError, ParseError
 from arcmatch.metrics import p_at_1
 from arcmatch.tensor import make_rng
@@ -22,6 +22,17 @@ def test_load_pairs_missing_tab_reports_line():
     with pytest.raises(ParseError) as err:
         load_pairs(io.StringIO("a b\n"))
     assert err.value.line == 1
+
+
+def test_load_pairs_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.pairs"
+    path.write_bytes(b"a b\tc d\n" * 3 + b"a \xff\tc\n" + b"a\tb\n" * 3000)
+    with open_text(path) as fh, pytest.raises(ParseError) as err:
+        load_pairs(fh)
+    assert err.value.line == 4
+    # a strictly decoding file fails a whole buffer ahead: still a ParseError
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="not UTF-8"):
+        load_pairs(fh)
 
 
 def test_load_pairs_counts_lines():
