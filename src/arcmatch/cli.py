@@ -87,7 +87,6 @@ def build_parser() -> _Parser:
     e.add_argument("--data", required=True)
     e.add_argument("--embeddings")
     e.add_argument("--random-embeddings", action="store_true")
-    e.add_argument("--embed-dim", type=int, default=50)
     e.add_argument("--embed-seed", type=int, default=None)
     e.add_argument("--vocab-from", default=None,
                    help="comma-separated pair files for --random-embeddings")
@@ -106,7 +105,6 @@ def build_parser() -> _Parser:
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--embeddings")
     s.add_argument("--random-embeddings", action="store_true")
-    s.add_argument("--embed-dim", type=int, default=50)
     s.add_argument("--embed-seed", type=int, default=None)
     s.add_argument("--vocab-from", default=None)
     s.add_argument("--x", dest="sent_x")
@@ -135,7 +133,8 @@ def _collect_tokens(paths) -> set:
     return tokens
 
 
-def _table_from_args(args, vocab_paths):
+def _table_from_args(args, vocab_paths, dim):
+    """--embeddings FILE at its own width, or --random-embeddings of width dim."""
     if args.embeddings:
         with open_text(args.embeddings) as fh:
             return load_embeddings(fh)
@@ -144,8 +143,19 @@ def _table_from_args(args, vocab_paths):
         tokens = _collect_tokens(vocab_paths)
         if not tokens:
             raise DataError("no tokens found to build random embeddings from")
-        return random_embeddings(tokens, args.embed_dim, make_rng(seed))
+        return random_embeddings(tokens, dim, make_rng(seed))
     raise UsageError("need --embeddings FILE or --random-embeddings")
+
+
+def _checkpoint_table(args, vocab_default, kv):
+    """Vectors of the checkpoint's width; random ones cover --vocab-from or vocab_default."""
+    vocab_paths = args.vocab_from.split(",") if args.vocab_from else vocab_default
+    dim = int(kv["embed_dim"])
+    table = _table_from_args(args, vocab_paths, dim)
+    if table.dim != dim:
+        raise ShapeError(f"--embeddings {args.embeddings} has {table.dim}-dimensional "
+                         f"vectors; the checkpoint's embed_dim is {dim}")
+    return table
 
 
 def _build_model(args, embed_dim):
@@ -206,11 +216,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                      max_epochs=args.epochs, patience=args.patience,
-                      dropout=args.dropout, eval_every=args.eval_every,
-                      finetune_embeddings=args.finetune_embeddings,
-                      seed=args.seed)
+    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, max_epochs=args.epochs,
+                      patience=args.patience, eval_every=args.eval_every,
+                      finetune_embeddings=args.finetune_embeddings, seed=args.seed)
     cfg.validate()
     rng = make_rng(args.seed)
     stats = RunStats()
@@ -218,12 +226,8 @@ def cmd_train(args) -> int:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
     with open_text(args.val_file) as fh:
         val_corpus = dp.load_pairs(fh, provenance=args.val_file)
-    table = _table_from_args(args, [args.train_file, args.val_file])
-    if args.random_embeddings:
-        embed_dim = args.embed_dim
-    else:
-        embed_dim = table.dim
-    model = _build_model(args, embed_dim)
+    table = _table_from_args(args, [args.train_file, args.val_file], args.embed_dim)
+    model = _build_model(args, table.dim)
 
     token_triples = dp.sample_negatives(train_corpus, args.train_negatives,
                                         args.neg_mode, table, rng, stats)
@@ -252,8 +256,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, kv = load_checkpoint(args.checkpoint)
-    vocab_paths = args.vocab_from.split(",") if args.vocab_from else [args.data]
-    table = _table_from_args(args, vocab_paths)
+    table = _checkpoint_table(args, [args.data], kv)
     max_len = args.max_len or int(kv.get("max_len", 16))
     stats = RunStats()
     if args.classify:
@@ -314,8 +317,7 @@ def cmd_score(args) -> int:
         vocab_default = []
     else:
         raise UsageError("need --pairs FILE or both --x and --y")
-    vocab_paths = args.vocab_from.split(",") if args.vocab_from else vocab_default
-    table = _table_from_args(args, vocab_paths)
+    table = _checkpoint_table(args, vocab_default, kv)
     max_len = int(kv.get("max_len", 16))
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)
@@ -325,6 +327,9 @@ def cmd_score(args) -> int:
         for x, y in corpus.pairs:
             print(f"{scorer(x, y):.6f}")
     else:
+        for flag, text in (("--x", args.sent_x), ("--y", args.sent_y)):
+            if text != text.encode("utf-8", "replace").decode():  # argv's undecodable bytes
+                raise DataError(f"{flag} is not UTF-8 text")
         xt, yt = tokenize(args.sent_x), tokenize(args.sent_y)
         if not xt or not yt:
             raise DataError("cannot score an empty sentence")

@@ -276,9 +276,7 @@ def conv_pre_backward(dpre: np.ndarray, seg: np.ndarray, w: np.ndarray, k: int,
     summed over the leading dimensions, and the gradient w.r.t. z, onto
     whose units each window's gradient is added."""
     dpre_flat = dpre.reshape(-1, dpre.shape[-1])
-    # per item for sentences, over the whole stack for grids: the two forms
-    # can round differently, and trained results pin both bit for bit
-    dseg = dpre @ w if nd == 1 else (dpre_flat @ w).reshape(seg.shape)
+    dseg = (dpre_flat @ w).reshape(seg.shape)
     n_in = tuple(m + k - 1 for m in seg.shape[-1 - nd:-1])
     f = seg.shape[-1] // k ** nd
     dz = np.zeros(seg.shape[:-1 - nd] + n_in + (f,))

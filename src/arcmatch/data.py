@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused encode_sentence: perfbench/tracer.py wraps it here, and fails if it is missing
 from .embeddings import (EmbeddingTable, EncodedSentence, RunStats, encode_block,
                          encode_sentence, numbered_lines, tokenize)
 from .errors import ConfigError, DataError, ParseError
@@ -289,24 +290,23 @@ def _encode_shared(slots, table: EmbeddingTable, max_len: int,
 
     Equal lists get the same object, and the distinct sentences' matrices
     are views of one zero block filled by a single row gather. stats
-    counts every slot, truncated ones included. Slots are matched by
-    object first (slots holds them, so no id is reused) and by tuple
-    once per object.
+    counts every slot, truncated ones included (if a slot cannot be
+    encoded, only those before it). Slots are matched by object first
+    (slots holds them, so no id is reused) and by tuple once per object.
     """
     keys = list(map(id, slots))
     objects = dict(zip(keys, slots))  # in first-occurrence order
-    if max_len < 1 or not all(objects.values()):
-        # fail where one-at-a-time encoding does, with the same counts
-        for tokens in slots:
-            encode_sentence(tokens, table, max_len, stats)
     distinct, index = {}, {}
     for key, tokens in objects.items():
         index[key] = distinct.setdefault(tuple(tokens), len(distinct))
-    sents = encode_block(list(distinct), table, max_len)
+    counted = slots
+    if max_len < 1 or () in distinct:  # encode_block raises at the first failing slot
+        counted = slots[:0 if max_len < 1 else next(i for i, t in enumerate(slots) if not t)]
     if stats is not None:
-        stats.sentences += len(slots)
+        stats.sentences += len(counted)
         if any(len(tokens) > max_len for tokens in distinct):  # else no slot is
-            stats.truncated += sum(len(tokens) > max_len for tokens in slots)
+            stats.truncated += sum(len(tokens) > max_len for tokens in counted)
+    sents = encode_block(list(distinct), table, max_len)
     sent_of = {key: sents[i] for key, i in index.items()}
     return list(map(sent_of.__getitem__, keys))
 

@@ -7,7 +7,7 @@ genuine padding.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class RunStats:
     hard_negative_fallbacks: int = 0
     hard_negatives: int = 0
     shuffle_skipped: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def tokenize(line: str) -> list[str]:

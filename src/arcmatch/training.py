@@ -34,7 +34,6 @@ class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 50
     patience: int = 5
-    dropout: float = 0.0
     eval_every: int = 50
     finetune_embeddings: bool = False
     seed: int = 0
@@ -50,8 +49,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -146,10 +143,10 @@ def _add_word_grads(emb_acc: np.ndarray, x_words, y_words, dx: np.ndarray,
 
 def _chunk_masks(head, rng, n: int):
     """Dropout masks for n triples, drawn triple by triple: [n, hidden] per
-    hidden layer, or None when the head has no dropout."""
-    per_triple = [draw_dropout_masks(head, rng) for _ in range(n)]
-    if per_triple[0] is None:
+    hidden layer, or None, drawing nothing, when the head has no dropout."""
+    if head.dropout == 0.0:
         return None
+    per_triple = [draw_dropout_masks(head, rng) for _ in range(n)]
     return [np.stack(layer) for layer in zip(*per_triple)]
 
 
@@ -157,9 +154,9 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
              table=None) -> float:
     """One mini-batch update; returns the batch mean hinge loss.
 
-    For each triple both pairs are scored with the same dropout masks
-    (drawn fresh per triple, in batch order); only triples with positive
-    loss contribute gradients. Update is theta -= lr * mean(grad).
+    Both pairs of a triple are scored with the same dropout masks, drawn
+    per triple in batch order if model.head.dropout > 0; only triples with
+    positive loss contribute gradients. Update is theta -= lr * mean(grad).
 
     The batch runs in chunks of the model kind's KINDS[kind].chunk triples,
     each stacked along leading dimensions: x as [C, L, D] and (y+, y-) as
@@ -188,7 +185,7 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
         chunk = batch[start : start + size]
         x, x_words = _stack([t.x for t in chunk], words)
         y, y_words = _stack([t.y_pos for t in chunk] + [t.y_neg for t in chunk], words)
-        masks = _chunk_masks(model.head, rng, len(chunk)) if cfg.dropout > 0 else None
+        masks = _chunk_masks(model.head, rng, len(chunk))
         scores, trace = model.score(x, y.reshape(2, len(chunk), *y.shape[1:]), masks)
         losses = hinge_loss(scores[0], scores[1])
         finite = np.isfinite(scores).all(axis=0) & np.isfinite(losses)
@@ -355,8 +352,10 @@ def _trace_kink_distance(model, trace) -> float:
     return dist
 
 
+GRADCHECK_DIM, GRADCHECK_LEN = 3, 8  # gradient_check's word vector width, sentence length
+
+
 def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
-                   embed_dim: int = 3, max_len: int = 8,
                    negate_bias_grad: bool = False) -> float:
     """Compare analytic gradients against central differences.
 
@@ -374,12 +373,10 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
     guard = 50.0 * eps
     for attempt in range(64):
         rng = make_rng((seed << 8) + attempt)
-        table = random_embeddings([f"w{i}" for i in range(12)], embed_dim, rng)
-        model = build_model(model_kind, dict(embed_dim=embed_dim, max_len=max_len,
+        table = random_embeddings([f"w{i}" for i in range(12)], GRADCHECK_DIM, rng)
+        model = build_model(model_kind, dict(embed_dim=GRADCHECK_DIM, max_len=GRADCHECK_LEN,
                                              **KINDS[model_kind].gradcheck), rng)
-        sx = _random_sentence(table, max_len, rng)
-        sy_pos = _random_sentence(table, max_len, rng)
-        sy_neg = _random_sentence(table, max_len, rng)
+        sx, sy_pos, sy_neg = (_random_sentence(table, GRADCHECK_LEN, rng) for _ in range(3))
         s_pos, tr_pos = model.score(sx, sy_pos)
         s_neg, tr_neg = model.score(sx, sy_neg)
         if s_pos - s_neg >= 1.0:  # margin met: loss flat, swap to activate it

@@ -196,7 +196,7 @@ def _per_pair_step(model, batch, cfg, rng, table):
         if finetune:
             for s in sents:
                 s.x[: s.length] = table.vectors[s.ids]
-        masks = draw_dropout_masks(model.head, rng) if cfg.dropout > 0 else None
+        masks = draw_dropout_masks(model.head, rng) if model.head.dropout > 0 else None
         s_pos, tr_pos = model.score(t.x, t.y_pos, masks)
         s_neg, tr_neg = model.score(t.x, t.y_neg, masks)
         loss = hinge_loss(s_pos, s_neg)
@@ -244,7 +244,6 @@ def _sharpened(kind, activation, dropout):
 
 def _check_step(setting, batch, table, model_fn):
     cfg = TrainConfig(learning_rate=0.3, batch_size=len(batch),
-                      dropout=setting["dropout"],
                       finetune_embeddings=setting["finetune"])
     batched, per_pair = model_fn(), model_fn()
     t_batched, t_per_pair = _copy(table), _copy(table)

@@ -437,7 +437,56 @@ def test_pairs_file_that_is_not_utf8_is_a_parse_error(trained, synth_dir, tmp_pa
     src = synth_dir / "test.pairs"
     damaged = _with_byte(src, tmp_path / "test.pairs", _nth_line_offset(src, 5))
     table = ([vectors, str(trained) + ".embeddings.txt"] if vectors == "--embeddings"
-             else [vectors, "--embed-dim", "8"])
+             else [vectors])
     code = run(["score", "--checkpoint", str(trained), *table, "--pairs", str(damaged)])
     assert code == 2
     assert "data error: line 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_random_embeddings_take_the_checkpoints_width(synth_dir, capsys, command):
+    # the fixture's embed_dim is 3, not train's default --embed-dim of 50
+    ckpt = str(Path(__file__).parent / "fixtures" / "wordembed.ckpt")
+    data = str(synth_dir / "test.pairs")
+    argv = (["eval", "--checkpoint", ckpt, "--data", data] if command == "eval"
+            else ["score", "--checkpoint", ckpt, "--pairs", data])
+    assert run([*argv, "--random-embeddings", "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    if command == "eval":
+        assert "value=" in out
+    else:
+        with open(data, encoding="utf-8") as fh:
+            assert len(out.splitlines()) == len(load_pairs(fh))
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_embeddings_file_of_another_width_is_config_error(trained, synth_dir, tmp_path,
+                                                          capsys, command):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("2 5\nt0w1 1 2 3 4 5\nt0w2 5 4 3 2 1\n", encoding="utf-8")
+    data = str(synth_dir / "test.pairs")
+    argv = (["eval", "--data", data] if command == "eval" else ["score", "--pairs", data])
+    assert run([*argv, "--checkpoint", str(trained), "--embeddings", str(wide)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"config error: --embeddings {wide} has 5-dimensional vectors; "
+                       f"the checkpoint's embed_dim is 8\n")
+
+
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_sentence_flag_that_is_not_utf8_is_a_data_error(trained, capsys, flag):
+    sents = {"--x": "t0w1 t0w2", "--y": "t0w1"}
+    sents[flag] += " t0\udcff"  # how Python decodes the byte 0xff in argv
+    code = run(["score", "--checkpoint", str(trained),
+                "--embeddings", str(trained) + ".embeddings.txt",
+                "--x", sents["--x"], "--y", sents["--y"]])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"data error: {flag} is not UTF-8 text\n"
+
+
+def test_dropout_out_of_range_is_config_error(synth_dir, tmp_path, capsys):
+    assert run(_train_args(synth_dir, tmp_path, "--dropout", "1.5")) == 1
+    assert capsys.readouterr().err == "config error: dropout must be in [0, 1), got 1.5\n"
+    assert not (tmp_path / "m.ckpt").exists()

@@ -148,7 +148,7 @@ def test_sgd_step_over_shared_triples_equals_side_by_side(kind, setting):
     shared = encode_triples(token_triples, table, MAX_LEN)
     apart = _side_by_side_triples(token_triples, table, MAX_LEN)
     assert len({id(x) for x in _slots(shared)}) < len({id(x) for x in _slots(apart)})
-    cfg = TrainConfig(learning_rate=0.3, batch_size=40, dropout=s["dropout"],
+    cfg = TrainConfig(learning_rate=0.3, batch_size=40,
                       finetune_embeddings=s["finetune_embeddings"])
     runs = []
     for triples in (shared, apart):
@@ -174,7 +174,7 @@ def test_training_run_over_shared_sentences_equals_side_by_side(kind):
     token_triples = sample_negatives(corpus, 3, "random", None, make_rng(11))
     val = make_eval_instances(corpus, 4, "random", None, make_rng(12))
     cfg = TrainConfig(learning_rate=0.3, batch_size=20, max_epochs=2, patience=50,
-                      eval_every=2, dropout=setting["dropout"], finetune_embeddings=True)
+                      eval_every=2, finetune_embeddings=True)
     runs = []
     for encode_t, encode_i in ((encode_triples, encode_instances),
                                (_side_by_side_triples, _side_by_side_instances)):

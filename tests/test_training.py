@@ -198,7 +198,7 @@ def test_dropout_masks_shared_within_triple():
     model = build_wordembed(4, make_rng(4), hidden=(8,), dropout=0.5)
     y = random_sentence(table, 10, rng)
     t = Triple(x=random_sentence(table, 10, rng), y_pos=y, y_neg=y)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=1, dropout=0.5)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=1)
     for seed in range(5):
         loss = sgd_step(model, [t], cfg, make_rng(seed))
         assert loss == 1.0
@@ -209,7 +209,7 @@ def test_dropout_step_is_deterministic_given_rng():
     rng = make_rng(12)
     model = build_wordembed(4, make_rng(4), hidden=(8,), dropout=0.5)
     t = _triples(table, 1, rng)[0]
-    cfg = TrainConfig(learning_rate=0.01, batch_size=1, dropout=0.5)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=1)
     before = param_vector(model).copy()
     sgd_step(model, [t], cfg, make_rng(77))
     after1 = param_vector(model).copy()
@@ -217,6 +217,17 @@ def test_dropout_step_is_deterministic_given_rng():
     set_param_vector(model, before)
     sgd_step(model, [t], cfg, make_rng(77))
     assert np.array_equal(param_vector(model), after1)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_step_draws_masks_exactly_when_the_head_has_dropout(dropout):
+    table = small_table()
+    model = build_wordembed(4, make_rng(4), hidden=(8,), dropout=dropout)
+    batch = _triples(table, 3, make_rng(13))
+    rng = make_rng(78)
+    before = rng.bit_generator.state
+    sgd_step(model, batch, TrainConfig(learning_rate=0.01), rng)
+    assert (rng.bit_generator.state == before) == (dropout == 0.0)
 
 
 def test_finetune_embeddings_updates_table_and_matches_fd():
