@@ -2,17 +2,19 @@
 
 Subcommands: gen-synth, train, eval, score, gradcheck. Every command is
 deterministic given --seed and its inputs. Exit codes: 0 success, 1 usage
-or configuration error, 2 data error, 3 numeric failure.
+or configuration error (or a stdout closed early), 2 data error, 3 numeric
+failure.
 """
 
 import argparse
+import os
 import re
 import sys
 
 from . import data as dp
 from .checkpoint import load_checkpoint, save_checkpoint
-from .embeddings import (RunStats, encode_sentence, load_embeddings, numbered_lines,
-                         open_text, random_embeddings, tokenize, write_embeddings)
+from .embeddings import (RunStats, encode_sentence, load_embeddings, open_text,
+                         random_embeddings, tokenize, write_embeddings)
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
 from .metrics import classify_eval, p_at_1, select_threshold
@@ -32,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_embedding_source(p):
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings", help="word2vec text file")
+    source.add_argument("--random-embeddings", action="store_true")
+    p.add_argument("--embed-seed", type=int, help="--random-embeddings seed (default: --seed)")
 
 
 def build_parser() -> _Parser:
@@ -54,11 +63,8 @@ def build_parser() -> _Parser:
     t.add_argument("--train", required=True, dest="train_file")
     t.add_argument("--val", required=True, dest="val_file")
     t.add_argument("--out", required=True, help="checkpoint path")
-    t.add_argument("--embeddings", help="word2vec text file")
-    t.add_argument("--random-embeddings", action="store_true")
-    t.add_argument("--embed-dim", type=int, default=50)
-    t.add_argument("--embed-seed", type=int, default=None,
-                   help="seed for --random-embeddings (default: --seed)")
+    _add_embedding_source(t)
+    t.add_argument("--embed-dim", type=int, help="--random-embeddings width (default 50)")
     t.add_argument("--max-len", type=int, default=16)
     t.add_argument("--window", type=int, default=3)
     t.add_argument("--maps", type=_ints, default="",
@@ -85,9 +91,7 @@ def build_parser() -> _Parser:
     _add_common(e)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--embeddings")
-    e.add_argument("--random-embeddings", action="store_true")
-    e.add_argument("--embed-seed", type=int, default=None)
+    _add_embedding_source(e)
     e.add_argument("--vocab-from", default=None,
                    help="comma-separated pair files for --random-embeddings")
     e.add_argument("--max-len", type=int, default=None,
@@ -103,10 +107,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("score", help="score sentence pairs with a checkpoint")
     _add_common(s)
     s.add_argument("--checkpoint", required=True)
-    s.add_argument("--embeddings")
-    s.add_argument("--random-embeddings", action="store_true")
-    s.add_argument("--embed-seed", type=int, default=None)
-    s.add_argument("--vocab-from", default=None)
+    _add_embedding_source(s)
+    s.add_argument("--vocab-from", default=None,
+                   help="comma-separated pair files for --random-embeddings")
     s.add_argument("--x", dest="sent_x")
     s.add_argument("--y", dest="sent_y")
     s.add_argument("--pairs", dest="pair_file", help="TSV of x TAB y")
@@ -123,28 +126,35 @@ def build_parser() -> _Parser:
 # --- helpers ----------------------------------------------------------------
 
 
+def _refuse_random_only_flags(args) -> None:
+    """The flags that shape random vectors mean nothing next to a file."""
+    if getattr(args, "embeddings", None) is None:
+        return
+    for flag in ("--embed-dim", "--embed-seed", "--vocab-from"):
+        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise UsageError(f"{flag} goes with --random-embeddings, not --embeddings")
+
+
 def _collect_tokens(paths) -> set:
+    """Every token of every column, labels included."""
     tokens = set()
     for path in paths:
         with open_text(path) as fh:
-            for _, line in numbered_lines(fh):
-                for part in line.split("\t"):
-                    tokens.update(tokenize(part))
+            for row in dp.read_rows(fh)[1]:
+                tokens.update(*row)
     return tokens
 
 
 def _table_from_args(args, vocab_paths, dim):
     """--embeddings FILE at its own width, or --random-embeddings of width dim."""
-    if args.embeddings:
+    if not args.random_embeddings:
         with open_text(args.embeddings) as fh:
             return load_embeddings(fh)
-    if args.random_embeddings:
-        seed = args.embed_seed if args.embed_seed is not None else args.seed
-        tokens = _collect_tokens(vocab_paths)
-        if not tokens:
-            raise DataError("no tokens found to build random embeddings from")
-        return random_embeddings(tokens, dim, make_rng(seed))
-    raise UsageError("need --embeddings FILE or --random-embeddings")
+    seed = args.embed_seed if args.embed_seed is not None else args.seed
+    tokens = _collect_tokens(vocab_paths)
+    if not tokens:
+        raise DataError("no tokens found to build random embeddings from")
+    return random_embeddings(tokens, dim, make_rng(seed))
 
 
 def _checkpoint_table(args, vocab_default, kv):
@@ -183,8 +193,6 @@ def _encoding_scorer(model, table, max_len, stats):
 
 
 def cmd_gen_synth(args) -> int:
-    import os
-
     split = re.fullmatch(r"(\d+)/(\d+)/(\d+)", args.split)
     parts = [int(p) for p in split.groups()] if split else []
     if sum(parts) != 100:
@@ -226,7 +234,8 @@ def cmd_train(args) -> int:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
     with open_text(args.val_file) as fh:
         val_corpus = dp.load_pairs(fh, provenance=args.val_file)
-    table = _table_from_args(args, [args.train_file, args.val_file], args.embed_dim)
+    dim = 50 if args.embed_dim is None else args.embed_dim
+    table = _table_from_args(args, [args.train_file, args.val_file], dim)
     model = _build_model(args, table.dim)
 
     token_triples = dp.sample_negatives(train_corpus, args.train_negatives,
@@ -285,28 +294,22 @@ def cmd_eval(args) -> int:
 
 
 def _load_labeled(path):
-    labeled = []
     with open_text(path) as fh:
-        for lineno, raw in numbered_lines(fh):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise UsageError(
-                    f"{path}:{lineno}: --classify needs 'x TAB y TAB 0|1' lines "
-                    f"(got {len(cols)} columns; is this a ranking/pair file?)"
-                )
-            x, y, label = cols
-            if label.strip() not in ("0", "1"):
-                raise ParseError(f"label must be 0 or 1, got {label!r}", line=lineno)
-            xt, yt = tokenize(x), tokenize(y)
-            if not xt or not yt:
-                raise ParseError("labeled pair has an empty side", line=lineno)
-            labeled.append((xt, yt, int(label)))
-    if not labeled:
+        numbers, rows = dp.read_rows(fh)
+    for lineno, row in zip(numbers, rows):
+        if len(row) != 3:
+            raise UsageError(
+                f"{path}:{lineno}: --classify needs 'x TAB y TAB 0|1' lines "
+                f"(got {len(row)} columns; is this a ranking/pair file?)"
+            )
+        x, y, label = row
+        if label not in (["0"], ["1"]):
+            raise ParseError(f"label must be 0 or 1, got {' '.join(label)!r}", line=lineno)
+        if not x or not y:
+            raise ParseError("labeled pair has an empty side", line=lineno)
+    if not rows:
         raise DataError(f"no labeled pairs in {path}")
-    return labeled
+    return [(x, y, int(label[0])) for x, y, label in rows]
 
 
 def cmd_score(args) -> int:
@@ -355,6 +358,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_random_only_flags(args)
         handler = {
             "gen-synth": cmd_gen_synth,
             "train": cmd_train,
@@ -375,6 +379,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout was closed early (`arcmatch score ... | head`); point it at
+        # /dev/null so that the interpreter's last flush does not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -91,9 +91,9 @@ class RunStats:
     shuffle_skipped: int = 0
 
 
-def tokenize(line: str) -> list[str]:
-    """Split on runs of whitespace; no other normalization."""
-    return line.split()
+# Split on runs of whitespace; no other normalization. str.split itself,
+# so that data.read_rows maps it over a line's columns at C speed.
+tokenize = str.split
 
 
 def open_text(path: str):

@@ -15,6 +15,7 @@ import numpy as np
 from .conv_sentence import pad_pairs, pair_halves
 from .embeddings import EncodedSentence, random_embeddings, encode_sentence
 from .errors import ConfigError, DataError, NumericError, ShapeError
+from .metrics import p_at_1
 from .mlp import draw_dropout_masks
 from .models import (KINDS, build_model, clone_params, param_vector,
                      restore_params, set_param_vector)
@@ -232,8 +233,6 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     cfg.patience evaluations without improvement. Returns (model restored
     to the best snapshot, TrainHistory).
     """
-    from .metrics import p_at_1  # local import to avoid a cycle
-
     cfg.validate()
     if not train_triples:
         raise DataError("training set is empty")
@@ -251,11 +250,10 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     loss_count = 0
     stop = False
 
-    def scorer(sx, sy):
-        if cfg.finetune_embeddings and table is not None:
-            _refresh(sx, table)
-            _refresh(sy, table)
-        return model.score(sx, sy)[0]
+    # with fine-tuning, each distinct validation sentence re-reads the table
+    # before every evaluation and after the best table is restored
+    stale = ({id(s): s for inst in val_instances for s in (inst.x, *inst.candidates)}
+             if best_table is not None else {})
 
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
@@ -266,7 +264,9 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
             loss_count += 1
             batches += 1
             if batches % cfg.eval_every == 0:
-                report = p_at_1(scorer, val_instances)
+                for sent in stale.values():
+                    _refresh(sent, table)
+                report = p_at_1(lambda sx, sy: model.score(sx, sy)[0], val_instances)
                 val_p1 = report.value
                 train_loss = loss_sum / max(loss_count, 1)
                 history.add(epoch, batches, train_loss, val_p1)
@@ -292,6 +292,8 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     restore_params(model, best_snapshot)
     if best_table is not None:
         table.vectors[...] = best_table
+    for sent in stale.values():
+        _refresh(sent, table)
     return model, history
 
 

@@ -490,3 +490,105 @@ def test_dropout_out_of_range_is_config_error(synth_dir, tmp_path, capsys):
     assert run(_train_args(synth_dir, tmp_path, "--dropout", "1.5")) == 1
     assert capsys.readouterr().err == "config error: dropout must be in [0, 1), got 1.5\n"
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def _labeled_and_triple_files(synth_dir, tmp_path):
+    with open(synth_dir / "test.pairs", encoding="utf-8") as fh:
+        pairs = load_pairs(fh).pairs[:6]
+    labeled, triples = tmp_path / "labeled.tsv", tmp_path / "triples.tsv"
+    labeled.write_text("".join(" ".join(x) + "\t" + " ".join(y) + f"\t{i % 2}\n"
+                               for i, (x, y) in enumerate(pairs)), encoding="utf-8")
+    triples.write_text("".join(" ".join(x) + "\t" + " ".join(y) + "\t" + " ".join(n) + "\n"
+                               for (x, y), (_, n) in zip(pairs, pairs[1:])), encoding="utf-8")
+    return {"labeled": labeled, "triple": triples}
+
+
+@pytest.mark.parametrize("kind", ["labeled", "triple"])
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_three_column_file_given_as_pairs_is_a_parse_error(trained, synth_dir, tmp_path,
+                                                           capsys, command, kind):
+    path = _labeled_and_triple_files(synth_dir, tmp_path)[kind]
+    argv = (["eval", "--data", str(path)] if command == "eval"
+            else ["score", "--pairs", str(path)])
+    code = run([*argv, "--checkpoint", str(trained),
+                "--embeddings", str(trained) + ".embeddings.txt"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "data error: line 1: pair line has 3 columns, expected 2\n"
+
+
+def test_collect_tokens_keeps_every_column_of_a_labeled_file(synth_dir, tmp_path):
+    from arcmatch.cli import _collect_tokens
+
+    path = _labeled_and_triple_files(synth_dir, tmp_path)["labeled"]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n  \t \n tail  word\t\tx\t1 \n")  # blank lines, an empty column
+    expected = set(path.read_text(encoding="utf-8").split())  # TAB is whitespace
+    assert {"0", "1", "tail", "x"} <= expected
+    assert _collect_tokens([str(path)]) == expected
+
+
+def test_embeddings_file_and_random_embeddings_are_exclusive(trained, synth_dir, capsys):
+    base = ["score", "--checkpoint", str(trained), "--pairs", str(synth_dir / "test.pairs")]
+    assert run([*base, "--embeddings", str(trained) + ".embeddings.txt",
+                "--random-embeddings"]) == 1
+    assert "not allowed with argument --embeddings" in capsys.readouterr().err
+    assert run(base) == 1
+    assert ("one of the arguments --embeddings --random-embeddings is required"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--embed-dim"), ("train", "--embed-seed"), ("eval", "--embed-seed"),
+    ("score", "--embed-seed"), ("eval", "--vocab-from"), ("score", "--vocab-from"),
+])
+def test_random_only_flag_next_to_embeddings_is_usage_error(tmp_path, capsys, command, flag):
+    # every path is missing: the flags are refused before any input is read
+    missing = str(tmp_path / "missing")
+    argv = {"train": ["train", "--model", "wordembed", "--train", missing, "--val", missing,
+                      "--out", str(tmp_path / "m.ckpt")],
+            "eval": ["eval", "--checkpoint", missing, "--data", missing],
+            "score": ["score", "--checkpoint", missing, "--pairs", missing]}[command]
+    value = "v.pairs" if flag == "--vocab-from" else "5"
+    assert run([*argv, "--embeddings", missing, flag, value]) == 1
+    assert capsys.readouterr().err == (f"usage error: {flag} goes with "
+                                       f"--random-embeddings, not --embeddings\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_closed_stdout_ends_score_without_a_traceback(tmp_path):
+    fixture = Path(__file__).parent / "fixtures" / "wordembed.ckpt"
+    pairs = tmp_path / "many.pairs"
+    pairs.write_text("t0w1 t0w2\tt0w1\n" * 12000, encoding="utf-8")  # > a 64 KiB pipe
+    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "arcmatch.cli", "score",
+                                 "--checkpoint", str(fixture), "--random-embeddings",
+                                 "--pairs", str(pairs)],
+                                stdout=subprocess.PIPE, stderr=err,
+                                env={**os.environ, "PYTHONPATH": src})
+        float(proc.stdout.readline())
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        stderr = err.read().decode()
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
+@pytest.mark.parametrize("line,message", [
+    ("t0w1 t0w2\tt0w1\t2\n", "line 3: label must be 0 or 1, got '2'"),
+    ("t0w1 t0w2\tt0w1\t \n", "line 3: label must be 0 or 1, got ''"),
+    (" \tt0w1\t1\n", "line 3: labeled pair has an empty side"),
+], ids=["label 2", "blank label", "empty x"])
+def test_classify_file_with_a_bad_line_is_a_data_error(trained, tmp_path, capsys,
+                                                      line, message):
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("t0w1\tt0w2\t1\n\n" + line + "t0w2\tt0w1\t0\n", encoding="utf-8")
+    assert run(["eval", "--checkpoint", str(trained), "--data", str(labeled),
+                "--embeddings", str(trained) + ".embeddings.txt",
+                "--classify", "--threshold", "0.0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"data error: {message}\n"

@@ -210,3 +210,33 @@ def test_bag_overlap_separates_random_but_not_shuffle():
     report_shuffle = p_at_1(bag_overlap_score, shuffle_inst)
     assert report_random.value > 0.9
     assert report_shuffle.value <= 0.25
+
+
+@pytest.mark.parametrize("text,line", [
+    ("a\tb\tc\n", 1),
+    ("a b\tc\n\n \t \nd\t\te\n", 4),
+    ("a\t \nb\tc\td\n", 1),
+], ids=["labeled line", "extra TAB after blank lines", "earlier empty side first"])
+def test_load_pairs_wrong_column_count_or_empty_side_names_the_line(text, line):
+    with pytest.raises(ParseError) as err:
+        load_pairs(io.StringIO(text))
+    assert err.value.line == line
+
+
+def test_load_triples_rejects_an_empty_column_and_a_fourth_column():
+    from arcmatch.data import load_triples
+
+    with pytest.raises(ParseError, match="empty side") as err:
+        load_triples(io.StringIO("a\tb\tc\nd\te\t \n"))
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="4 columns, expected 3") as err:
+        load_triples(io.StringIO("a\tb\tc\td\n"))
+    assert err.value.line == 1
+
+
+def test_read_rows_without_a_column_count_keeps_every_column():
+    from arcmatch.data import read_rows
+
+    numbers, rows = read_rows(io.StringIO("a b\tc\t1\n\n\t\nd\n e \t\tf g\t\n"))
+    assert numbers == [1, 4, 5]
+    assert rows == [(["a", "b"], ["c"], ["1"]), (["d"],), (["e"], [], ["f", "g"], [])]

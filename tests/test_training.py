@@ -324,3 +324,24 @@ def test_readme_arc2_step_stays_under_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 6.5e6
+
+
+def test_validation_matrices_match_the_restored_table_after_early_stopping():
+    from arcmatch.baselines import build_wordembed
+    from arcmatch.data import (PairCorpus, encode_instances, encode_triples,
+                               gen_synthetic_corpus, make_eval_instances, sample_negatives)
+    from arcmatch.embeddings import random_embeddings
+    from arcmatch.metrics import p_at_1
+
+    rng = make_rng(1)
+    corpus, tokens = gen_synthetic_corpus(600, 200, (7, 12), 5, rng)
+    table = random_embeddings(tokens, 8, make_rng(2))
+    train_pairs, val_pairs = PairCorpus(corpus.pairs[:300]), PairCorpus(corpus.pairs[300:])
+    triples = encode_triples(sample_negatives(train_pairs, 2, "random", table, rng), table, 12)
+    val = encode_instances(make_eval_instances(val_pairs, 4, "random", table, rng), table, 12)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=16, max_epochs=20, patience=2,
+                      eval_every=5, finetune_embeddings=True, seed=1)
+    model, history = train(build_wordembed(8, make_rng(3), hidden=(8,)), triples, val, cfg,
+                           table=table)
+    assert history.best_index < len(history.records) - 1  # stopped early, best restored
+    assert p_at_1(lambda sx, sy: model.score(sx, sy)[0], val).value == history.best[3]
