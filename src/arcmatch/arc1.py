@@ -26,12 +26,6 @@ class Arc1Trace:
     enc_x: object
     enc_y: object
     head: object
-    score: float
-
-    @property
-    def layers(self) -> list:
-        """Conv-layer traces of both encoders."""
-        return self.enc_x.layers + self.enc_y.layers
 
 
 @dataclass
@@ -52,7 +46,7 @@ class Arc1Model:
         s, head_trace = head_forward(self.head, concat_pair(vec_x, vec_y),
                                      masks, split=vec_x.shape[-1])
         return s, Arc1Trace(vec_x=vec_x, vec_y=vec_y, enc_x=enc_x, enc_y=enc_y,
-                            head=head_trace, score=s)
+                            head=head_trace)
 
     def backward(self, trace: Arc1Trace, upstream):
         wg, bg, dvec = head_backward(self.head, trace.head, upstream)

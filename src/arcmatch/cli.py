@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
@@ -65,7 +72,7 @@ def build_parser() -> _Parser:
     t.add_argument("--out", required=True, help="checkpoint path")
     _add_embedding_source(t)
     t.add_argument("--embed-dim", type=int, help="--random-embeddings width (default 50)")
-    t.add_argument("--max-len", type=int, default=16)
+    t.add_argument("--max-len", type=positive_int, default=16)
     t.add_argument("--window", type=int, default=3)
     t.add_argument("--maps", type=_ints, default="",
                    help="feature maps, e.g. '16,16' (arc1; default 16,16); "
@@ -94,7 +101,7 @@ def build_parser() -> _Parser:
     _add_embedding_source(e)
     e.add_argument("--vocab-from", default=None,
                    help="comma-separated pair files for --random-embeddings")
-    e.add_argument("--max-len", type=int, default=None,
+    e.add_argument("--max-len", type=positive_int, default=None,
                    help="override the checkpoint's max_len for encoding")
     e.add_argument("--negatives", type=int, default=4)
     e.add_argument("--neg-mode", default="random", choices=("random", "hard", "shuffle"))
@@ -110,9 +117,9 @@ def build_parser() -> _Parser:
     _add_embedding_source(s)
     s.add_argument("--vocab-from", default=None,
                    help="comma-separated pair files for --random-embeddings")
-    s.add_argument("--x", dest="sent_x")
-    s.add_argument("--y", dest="sent_y")
-    s.add_argument("--pairs", dest="pair_file", help="TSV of x TAB y")
+    s.add_argument("--x")
+    s.add_argument("--y")
+    s.add_argument("--pairs", help="TSV of x TAB y")
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient check")
     _add_common(c)
@@ -126,13 +133,22 @@ def build_parser() -> _Parser:
 # --- helpers ----------------------------------------------------------------
 
 
-def _refuse_random_only_flags(args) -> None:
-    """The flags that shape random vectors mean nothing next to a file."""
-    if getattr(args, "embeddings", None) is None:
-        return
-    for flag in ("--embed-dim", "--embed-seed", "--vocab-from"):
-        if getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            raise UsageError(f"{flag} goes with --random-embeddings, not --embeddings")
+# (flags, when they would be ignored, why): giving one then is a usage error
+_IGNORED_FLAGS = (
+    (("--embed-dim", "--embed-seed", "--vocab-from"), lambda a: a.embeddings is not None,
+     "goes with --random-embeddings, not --embeddings"),
+    (("--threshold", "--dev"), lambda a: not a.classify, "goes with --classify"),
+    (("--dev",), lambda a: a.threshold is not None, "picks the threshold; not with --threshold"),
+    (("--x", "--y"), lambda a: a.pairs is not None, "goes with one pair, not --pairs"),
+)
+
+
+def _refuse_ignored_flags(args) -> None:
+    """Refuse, before any input is read, a flag that another makes meaningless."""
+    for flags, ignored, why in _IGNORED_FLAGS:
+        for flag in flags:
+            if getattr(args, flag[2:].replace("-", "_"), None) is not None and ignored(args):
+                raise UsageError(f"{flag} {why}")
 
 
 def _collect_tokens(paths) -> set:
@@ -266,7 +282,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, kv = load_checkpoint(args.checkpoint)
     table = _checkpoint_table(args, [args.data], kv)
-    max_len = args.max_len or int(kv.get("max_len", 16))
+    max_len = args.max_len if args.max_len is not None else int(kv.get("max_len", 16))
     stats = RunStats()
     if args.classify:
         # encodes pair by pair, so no file-sized set of matrices is held
@@ -314,9 +330,9 @@ def _load_labeled(path):
 
 def cmd_score(args) -> int:
     model, kv = load_checkpoint(args.checkpoint)
-    if args.pair_file:
-        vocab_default = [args.pair_file]
-    elif args.sent_x is not None and args.sent_y is not None:
+    if args.pairs:
+        vocab_default = [args.pairs]
+    elif args.x is not None and args.y is not None:
         vocab_default = []
     else:
         raise UsageError("need --pairs FILE or both --x and --y")
@@ -324,16 +340,16 @@ def cmd_score(args) -> int:
     max_len = int(kv.get("max_len", 16))
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)
-    if args.pair_file:
-        with open_text(args.pair_file) as fh:
-            corpus = dp.load_pairs(fh, provenance=args.pair_file)
+    if args.pairs:
+        with open_text(args.pairs) as fh:
+            corpus = dp.load_pairs(fh, provenance=args.pairs)
         for x, y in corpus.pairs:
             print(f"{scorer(x, y):.6f}")
     else:
-        for flag, text in (("--x", args.sent_x), ("--y", args.sent_y)):
+        for flag, text in (("--x", args.x), ("--y", args.y)):
             if text != text.encode("utf-8", "replace").decode():  # argv's undecodable bytes
                 raise DataError(f"{flag} is not UTF-8 text")
-        xt, yt = tokenize(args.sent_x), tokenize(args.sent_y)
+        xt, yt = tokenize(args.x), tokenize(args.y)
         if not xt or not yt:
             raise DataError("cannot score an empty sentence")
         print(f"{scorer(xt, yt):.6f}")
@@ -358,7 +374,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _refuse_random_only_flags(args)
+        _refuse_ignored_flags(args)
         handler = {
             "gen-synth": cmd_gen_synth,
             "train": cmd_train,

@@ -35,7 +35,6 @@ class HeadTrace:
     outputs: list  # pre-dropout hidden activations
     pres: list     # hidden pre-activations
     masks: list | None
-    score: float | np.ndarray
 
 
 def build_head(input_width: int, hidden_widths, rng, activation="relu",
@@ -117,8 +116,7 @@ def head_forward(head: MlpHead, v: np.ndarray, masks=None,
     final = _affine(head.weights[-1], head.biases[-1], h,
                     split if n_hidden == 0 else None)[..., 0]
     score = final.item() if final.ndim == 0 else final
-    return score, HeadTrace(inputs=inputs, outputs=outputs, pres=pres,
-                            masks=masks, score=score)
+    return score, HeadTrace(inputs=inputs, outputs=outputs, pres=pres, masks=masks)
 
 
 def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:

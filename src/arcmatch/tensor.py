@@ -104,23 +104,36 @@ def init_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> 
 
 
 def finite_diff(f, theta: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
+    """Central-difference gradient of a scalar function of a flat vector:
+    (f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps) per coordinate."""
+    return finite_diff_gap(f, theta, eps)[0]
 
-    (f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps) per coordinate.
-    Raises NumericError if f returns a non-finite value.
+
+def finite_diff_gap(f, theta: np.ndarray, eps: float):
+    """(central differences, |forward - backward difference|) per coordinate.
+
+    The gap is |f(theta + eps*e_i) - 2 f(theta) + f(theta - eps*e_i)| / eps.
+    For f linear along e_i it is rounding. For f piecewise linear along e_i
+    with one kink at distance d < eps from theta, it is the jump in slope
+    times (eps - d) / eps, and half of it is exactly the central
+    difference's error. Raises NumericError if f returns a non-finite
+    value.
     """
     if eps <= 0:
         raise ShapeError(f"eps must be positive, got {eps}")
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
+    f0 = float(f(theta))
+    if not np.isfinite(f0):
+        raise NumericError("finite_diff: non-finite evaluation at theta")
+    fp = np.empty_like(theta)
+    fm = np.empty_like(theta)
     for i in range(theta.size):
         tp = theta.copy()
         tm = theta.copy()
         tp[i] += eps
         tm[i] -= eps
-        fp = float(f(tp))
-        fm = float(f(tm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        fp[i] = float(f(tp))
+        fm[i] = float(f(tm))
+        if not (np.isfinite(fp[i]) and np.isfinite(fm[i])):
             raise NumericError(f"finite_diff: non-finite evaluation at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * eps)
-    return grad
+    return (fp - fm) / (2.0 * eps), np.abs(fp - 2.0 * f0 + fm) / eps

@@ -592,3 +592,47 @@ def test_classify_file_with_a_bad_line_is_a_data_error(trained, tmp_path, capsys
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"data error: {message}\n"
+
+
+@pytest.mark.parametrize("command,extra,flag,why", [
+    ("eval", ["--threshold", "0.5", "--dev", "dev.tsv"], "--threshold", "goes with --classify"),
+    ("eval", ["--dev", "dev.tsv"], "--dev", "goes with --classify"),
+    ("eval", ["--classify", "--threshold", "0.5", "--dev", "dev.tsv"], "--dev",
+     "picks the threshold; not with --threshold"),
+    ("score", ["--x", "a b", "--y", "c d"], "--x", "goes with one pair, not --pairs"),
+    ("score", ["--y", "c d"], "--y", "goes with one pair, not --pairs"),
+])
+def test_flag_that_would_be_ignored_is_usage_error(tmp_path, capsys, command, extra, flag, why):
+    # every path is missing: the flags are refused before any input is read
+    missing = str(tmp_path / "missing")
+    argv = {"eval": ["eval", "--checkpoint", missing, "--data", missing],
+            "score": ["score", "--checkpoint", missing, "--pairs", missing]}[command]
+    assert run([*argv, "--random-embeddings", *extra]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag} {why}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_max_len_below_one_is_usage_error(tmp_path, capsys, command, max_len):
+    missing = str(tmp_path / "missing")
+    argv = {"train": ["train", "--model", "wordembed", "--train", missing, "--val", missing,
+                      "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"],
+            "eval": ["eval", "--checkpoint", missing, "--data", missing]}[command]
+    assert run([*argv, "--random-embeddings", "--max-len", max_len]) == 1
+    assert capsys.readouterr().err == (f"usage error: argument --max-len: "
+                                       f"must be >= 1, got {max_len}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_that_reaches_no_evaluation_keeps_what_it_learned(tmp_path, synth_dir, capsys):
+    argv = ["train", "--model", "wordembed", "--train", str(synth_dir / "train.pairs"),
+            "--val", str(synth_dir / "val.pairs"), "--random-embeddings",
+            "--embed-dim", "8", "--hidden", "8", "--lr", "0.3", "--eval-every", "1000",
+            "--quiet"]
+    for epochs in ("0", "3"):
+        assert run([*argv, "--epochs", epochs, "--out", str(tmp_path / epochs)]) == 0
+    assert (tmp_path / "0").read_bytes() != (tmp_path / "3").read_bytes()
+    history = (tmp_path / "3.history.tsv").read_text().splitlines()
+    assert len(history) == 2 and history[1].startswith("3\t")
+    assert "best val_p1" in capsys.readouterr().out

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from arcmatch.errors import NumericError, ShapeError
-from arcmatch.tensor import (activate, finite_diff, init_uniform, make_rng, relu,
-                             sigmoid, split_by)
+from arcmatch.tensor import (activate, finite_diff, finite_diff_gap, init_uniform,
+                             make_rng, relu, sigmoid, split_by)
+from arcmatch.training import GRADCHECK_GAP_ABS, GRADCHECK_GAP_REL
 
 
 def test_relu_and_sigmoid_values():
@@ -62,6 +63,32 @@ def test_finite_diff_relu_locally_linear():
 def test_finite_diff_rejects_non_finite():
     with pytest.raises(NumericError):
         finite_diff(lambda t: float("nan"), np.array([1.0]), 1e-4)
+
+
+def _kinked(central, gap):
+    """gradient_check's rule: a gap beyond rounding means a kink in the stencil."""
+    return gap > GRADCHECK_GAP_ABS + GRADCHECK_GAP_REL * np.abs(central)
+
+
+def test_finite_diff_gap_is_rounding_on_a_linear_function():
+    theta = np.array([0.3, -1.2, 7.5])
+    central, gap = finite_diff_gap(lambda t: 3.7 * t[0] - 2.1 * t[1] + 0.4 * t[2] + 0.9,
+                                   theta, 1e-5)
+    assert np.allclose(central, [3.7, -2.1, 0.4], atol=1e-9)
+    assert gap.max() < 1e-9
+    assert not _kinked(central, gap).any()
+
+
+@pytest.mark.parametrize("offset,want_gap", [(0.0, 1.0), (0.5, 0.5), (2.0, 0.0)])
+def test_finite_diff_gap_flags_a_kink_inside_the_stencil(offset, want_gap):
+    # relu's kink at offset*eps above theta: inside the stencil for offset
+    # 0 (at theta itself) and 1/2, outside for 2
+    eps = 1e-4
+    central, gap = finite_diff_gap(lambda t: 2.0 * max(t[0], 0.0), np.array([-offset * eps]), eps)
+    assert gap[0] == pytest.approx(2.0 * want_gap, abs=1e-9)
+    assert _kinked(central, gap)[0] == (want_gap > 0)
+    # theta sits on the flat side, so half the gap is the central error
+    assert central[0] == pytest.approx(gap[0] / 2, abs=1e-9)
 
 
 def test_purity_same_rng_state_same_output():

@@ -13,7 +13,7 @@ from arcmatch.arc1 import build_arc1
 from arcmatch.baselines import build_wordembed
 from arcmatch.data import EncodedInstance
 from arcmatch.errors import DataError, NumericError
-from arcmatch.models import param_vector
+from arcmatch.models import MODEL_KINDS, param_vector
 from arcmatch.tensor import make_rng
 from arcmatch.training import (TrainConfig, Triple, gradient_check, hinge_loss,
                                sgd_step, train)
@@ -138,6 +138,18 @@ def _instances(table, n, rng, m=4, max_len=10):
     return out
 
 
+def test_run_that_reaches_no_evaluation_evaluates_after_its_last_batch():
+    table = small_table()
+    rng = make_rng(21)
+    model = _small_model()
+    before = param_vector(model).copy()
+    cfg = TrainConfig(learning_rate=0.1, batch_size=4, max_epochs=2, eval_every=1000)
+    _, history = train(model, _triples(table, 10, rng), _instances(table, 3, rng), cfg)
+    assert [r[:2] for r in history.records] == [(2, 6)]
+    assert history.best_index == 0
+    assert not np.array_equal(param_vector(model), before)
+
+
 def test_patience_stops_after_non_improving_evals():
     table = small_table()
     rng = make_rng(7)
@@ -188,6 +200,36 @@ def test_gradient_check_all_kinds_pass():
 def test_gradient_check_detects_injected_fault():
     err = gradient_check("arc1", seed=0, negate_bias_grad=True)
     assert err >= 1e-4
+
+
+def test_gradient_check_redraws_a_relu_kink_exactly_at_theta(monkeypatch):
+    # arc1 seed 6's first draw has a head relu whose pre-activation is 0.0
+    # at theta: central differences of head.0.b[0] read 0.54 at eps, eps/2
+    # and eps/4 alike, against an analytic 0
+    import arcmatch.training as training
+
+    seeds = []
+
+    def recording_rng(seed):
+        seeds.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(training, "make_rng", recording_rng)
+    assert gradient_check("arc1", seed=6) < 1e-4
+    assert seeds == [6 << 8, (6 << 8) + 1]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_gradient_check_detects_injected_fault_for_every_kind(kind):
+    for seed in range(10):
+        assert gradient_check(kind, seed=seed, negate_bias_grad=True) >= 1e-4, seed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_gradient_check_passes_for_seeds_0_to_59(kind):
+    for seed in range(60):
+        assert gradient_check(kind, seed=seed) < 1e-4, seed
 
 
 def test_dropout_masks_shared_within_triple():
