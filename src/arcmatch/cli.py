@@ -102,9 +102,10 @@ def build_parser() -> _Parser:
     e.add_argument("--vocab-from", default=None,
                    help="comma-separated pair files for --random-embeddings")
     e.add_argument("--max-len", type=positive_int, default=None,
-                   help="override the checkpoint's max_len for encoding")
-    e.add_argument("--negatives", type=int, default=4)
-    e.add_argument("--neg-mode", default="random", choices=("random", "hard", "shuffle"))
+                   help="encoding length for a wordembed checkpoint, which records none")
+    e.add_argument("--negatives", type=int, help="negatives per ranking instance (default 4)")
+    e.add_argument("--neg-mode", choices=("random", "hard", "shuffle"),
+                   help="ranking negatives (default random)")
     e.add_argument("--classify", action="store_true",
                    help="data is 'x TAB y TAB 0|1'; report accuracy/F1")
     e.add_argument("--threshold", type=float, default=None)
@@ -140,6 +141,8 @@ _IGNORED_FLAGS = (
     (("--threshold", "--dev"), lambda a: not a.classify, "goes with --classify"),
     (("--dev",), lambda a: a.threshold is not None, "picks the threshold; not with --threshold"),
     (("--x", "--y"), lambda a: a.pairs is not None, "goes with one pair, not --pairs"),
+    (("--negatives", "--neg-mode"), lambda a: getattr(a, "classify", False),
+     "goes with ranking, not --classify"),
 )
 
 
@@ -280,7 +283,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.classify and args.threshold is None and not args.dev:
+        raise UsageError("--classify needs --threshold or --dev FILE")
     model, kv = load_checkpoint(args.checkpoint)
+    if args.max_len is not None and "max_len" in kv and int(kv["max_len"]) != args.max_len:
+        raise UsageError(f"--max-len {args.max_len} does not match the checkpoint's "
+                         f"max_len {kv['max_len']}")
     table = _checkpoint_table(args, [args.data], kv)
     max_len = args.max_len if args.max_len is not None else int(kv.get("max_len", 16))
     stats = RunStats()
@@ -290,16 +298,15 @@ def cmd_eval(args) -> int:
         labeled = _load_labeled(args.data)
         if args.threshold is not None:
             threshold = args.threshold
-        elif args.dev:
-            threshold = select_threshold(scorer, _load_labeled(args.dev))
         else:
-            raise UsageError("--classify needs --threshold or --dev FILE")
+            threshold = select_threshold(scorer, _load_labeled(args.dev))
         report = classify_eval(scorer, labeled, threshold)
     else:
         with open_text(args.data) as fh:
             corpus = dp.load_pairs(fh, provenance=args.data)
         rng = make_rng(args.seed)
-        instances = dp.make_eval_instances(corpus, args.negatives, args.neg_mode,
+        negatives = 4 if args.negatives is None else args.negatives
+        instances = dp.make_eval_instances(corpus, negatives, args.neg_mode or "random",
                                            table, rng, stats)
         encoded = dp.encode_instances(instances, table, max_len, stats)
         report = p_at_1(lambda sx, sy: model.score(sx, sy)[0], encoded)
@@ -329,14 +336,10 @@ def _load_labeled(path):
 
 
 def cmd_score(args) -> int:
-    model, kv = load_checkpoint(args.checkpoint)
-    if args.pairs:
-        vocab_default = [args.pairs]
-    elif args.x is not None and args.y is not None:
-        vocab_default = []
-    else:
+    if not args.pairs and (args.x is None or args.y is None):
         raise UsageError("need --pairs FILE or both --x and --y")
-    table = _checkpoint_table(args, vocab_default, kv)
+    model, kv = load_checkpoint(args.checkpoint)
+    table = _checkpoint_table(args, [args.pairs] if args.pairs else [], kv)
     max_len = int(kv.get("max_len", 16))
     stats = RunStats()
     scorer = _encoding_scorer(model, table, max_len, stats)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # unused encode_sentence: perfbench/tracer.py wraps it here, and fails if it is missing
-from .embeddings import (EmbeddingTable, EncodedSentence, RunStats, encode_block,
-                         encode_sentence, numbered_lines, tokenize)
+from .embeddings import (EmbeddingTable, RunStats, encode_block, encode_sentence,
+                         numbered_lines, tokenize)
 from .errors import ConfigError, DataError, ParseError
-from .training import Triple
 
 HARD_NEGATIVE_DRAW_CAP = 1000
 HARD_BAND = (0.7, 0.8)
@@ -35,25 +34,20 @@ class PairCorpus:
         return len(self.pairs)
 
 
+# Both records hold token lists as sampled, and EncodedSentences once
+# encode_triples / encode_instances have encoded them.
 @dataclass
-class RankingInstance:
-    x: list          # tokens
-    candidates: list  # m+1 token lists, distinct
-    answer: int      # index of the true y
-
-
-@dataclass
-class TokenTriple:
+class Triple:
     x: list
     y_pos: list
     y_neg: list
 
 
 @dataclass
-class EncodedInstance:
-    x: EncodedSentence
-    candidates: list
-    answer: int
+class RankingInstance:
+    x: list
+    candidates: list  # m+1 distinct sentences
+    answer: int       # index of the true y
 
 
 def read_rows(source, columns=None, what="row"):
@@ -98,7 +92,7 @@ def save_pairs(corpus: PairCorpus, path: str) -> None:
 
 def load_triples(source) -> list:
     """One triple per line: x-tokens TAB y+-tokens TAB y--tokens."""
-    return [TokenTriple(*row) for row in read_rows(source, 3, "triple")[1]]
+    return [Triple(*row) for row in read_rows(source, 3, "triple")[1]]
 
 
 def save_triples(triples, path: str) -> None:
@@ -260,7 +254,7 @@ def sample_negatives(corpus: PairCorpus, per_positive: int, mode: str,
     if len(corpus.pairs) < 2:
         raise DataError("need at least 2 pairs to sample negatives")
     draw = _sampler(corpus, mode, table, rng, stats)
-    return [TokenTriple(x=x, y_pos=y_pos, y_neg=y_neg)
+    return [Triple(x=x, y_pos=y_pos, y_neg=y_neg)
             for (x, y_pos), negatives in zip(corpus.pairs,
                                              draw(range(len(corpus.pairs)), per_positive))
             for y_neg in negatives]
@@ -332,7 +326,7 @@ def encode_instances(instances, table: EmbeddingTable, max_len: int,
     encode_triples."""
     sents = iter(_encode_shared([s for inst in instances for s in (inst.x, *inst.candidates)],
                                 table, max_len, stats))
-    return [EncodedInstance(x=next(sents),
+    return [RankingInstance(x=next(sents),
                             candidates=[next(sents) for _ in inst.candidates],
                             answer=inst.answer)
             for inst in instances]
@@ -343,14 +337,9 @@ def encode_instances(instances, table: EmbeddingTable, max_len: int,
 TOPIC_LEXICON_SIZE = 8  # topic words per topic; responses pair one-to-one
 
 
-@dataclass
-class SyntheticVocab:
-    topic_words: list     # per topic, ordered list of prompt-side words
-    response_words: list  # per topic, ordered list of paired response words
-    filler: list
-
-
-def _synthetic_vocab(vocab_size: int, n_topics: int) -> SyntheticVocab:
+def _synthetic_vocab(vocab_size: int, n_topics: int):
+    """(topic_words, response_words, filler): per topic, its ordered
+    prompt-side words and their paired response words; then the filler."""
     per_topic = 2 * TOPIC_LEXICON_SIZE
     filler_count = vocab_size - n_topics * per_topic
     if n_topics < 2:
@@ -365,8 +354,7 @@ def _synthetic_vocab(vocab_size: int, n_topics: int) -> SyntheticVocab:
     response_words = [[f"r{t}w{i}" for i in range(TOPIC_LEXICON_SIZE)]
                       for t in range(n_topics)]
     filler = [f"f{i}" for i in range(filler_count)]
-    return SyntheticVocab(topic_words=topic_words, response_words=response_words,
-                          filler=filler)
+    return topic_words, response_words, filler
 
 
 def gen_synthetic_corpus(n_pairs: int, vocab_size: int, len_range, n_topics: int,
@@ -393,7 +381,7 @@ def gen_synthetic_corpus(n_pairs: int, vocab_size: int, len_range, n_topics: int
     lo, hi = len_range
     if lo < 5 or hi < lo:
         raise ConfigError(f"len_range must satisfy 5 <= lo <= hi, got {len_range}")
-    voc = _synthetic_vocab(vocab_size, n_topics)
+    topic_words, response_words, filler = _synthetic_vocab(vocab_size, n_topics)
     pairs = []
     for _ in range(n_pairs):
         t = int(rng.integers(n_topics))
@@ -409,18 +397,18 @@ def gen_synthetic_corpus(n_pairs: int, vocab_size: int, len_range, n_topics: int
         for k, i in enumerate(order):
             # x states each topic word; y echoes it at the same position and
             # answers with the paired response word elsewhere, same order
-            x[echo_slots[k]] = voc.topic_words[t][i]
-            y[echo_slots[k]] = voc.topic_words[t][i]
-            y[resp_slots[k]] = voc.response_words[t][i]
+            x[echo_slots[k]] = topic_words[t][i]
+            y[echo_slots[k]] = topic_words[t][i]
+            y[resp_slots[k]] = response_words[t][i]
         for sent in (x, y):
             for pos in range(length):
                 if sent[pos] is None:
-                    sent[pos] = voc.filler[int(rng.integers(len(voc.filler)))]
+                    sent[pos] = filler[int(rng.integers(len(filler)))]
         pairs.append((x, y))
-    tokens = set(voc.filler)
+    tokens = set(filler)
     for t in range(n_topics):
-        tokens.update(voc.topic_words[t])
-        tokens.update(voc.response_words[t])
+        tokens.update(topic_words[t])
+        tokens.update(response_words[t])
     corpus = PairCorpus(pairs=pairs,
                         provenance=f"synthetic({n_pairs} pairs, {n_topics} topics)")
     return corpus, tokens

@@ -22,13 +22,6 @@ from .tensor import finite_diff_gap, make_rng
 
 
 @dataclass
-class Triple:
-    x: EncodedSentence
-    y_pos: EncodedSentence
-    y_neg: EncodedSentence
-
-
-@dataclass
 class TrainConfig:
     learning_rate: float = 0.05
     batch_size: int = 128

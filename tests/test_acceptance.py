@@ -317,7 +317,7 @@ def test_criterion_8_bag_of_words_gap(order_experiment):
 
 @pytest.mark.slow
 def test_criterion_9_overfit_sanity():
-    from arcmatch.data import TokenTriple
+    from arcmatch.data import Triple
 
     t0 = time.time()
     corpus, tokens = gen_synthetic_corpus(100, 400, (9, 12), 10, make_rng(700))
@@ -330,7 +330,7 @@ def test_criterion_9_overfit_sanity():
         y_true = inst.candidates[inst.answer]
         for i, cand in enumerate(inst.candidates):
             if i != inst.answer:
-                tok_triples.append(TokenTriple(x=inst.x, y_pos=y_true, y_neg=cand))
+                tok_triples.append(Triple(x=inst.x, y_pos=y_true, y_neg=cand))
     tok_triples.extend(sample_negatives(corpus, 1, "random", table, make_rng(702)))
     triples = encode_triples(tok_triples, table, MAX_LEN)
     assert len(triples) == 500

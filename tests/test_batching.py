@@ -15,12 +15,13 @@ from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import build_arc2, conv2d_gated, interaction_conv1d, maxpool2d
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.conv_sentence import conv1d_gated, maxpool1d, maxpool_backward
+from arcmatch.data import Triple
 from arcmatch.embeddings import EmbeddingTable
 from arcmatch.errors import ShapeError
 from arcmatch.mlp import build_head, draw_dropout_masks, head_forward
 from arcmatch.models import KINDS, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import TrainConfig, Triple, hinge_loss, sgd_step
+from arcmatch.training import TrainConfig, hinge_loss, sgd_step
 
 from conftest import random_sentence, small_table
 

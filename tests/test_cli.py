@@ -636,3 +636,81 @@ def test_train_that_reaches_no_evaluation_keeps_what_it_learned(tmp_path, synth_
     history = (tmp_path / "3.history.tsv").read_text().splitlines()
     assert len(history) == 2 and history[1].startswith("3\t")
     assert "best val_p1" in capsys.readouterr().out
+
+
+def _checkpoint_at_max_len_10(kind, path):
+    from arcmatch.arc1 import build_arc1
+    from arcmatch.arc2 import build_arc2
+    from arcmatch.checkpoint import save_checkpoint
+    from arcmatch.tensor import make_rng
+    if kind == "arc1":
+        model = build_arc1(8, 10, make_rng(0), windows=(3, 2), feature_maps=(4, 4), hidden=(8,))
+    else:
+        model = build_arc2(8, 10, make_rng(0), window1=3, maps1=4,
+                           twod_layers=((2, 4), (2, 4)), hidden=(8,))
+    save_checkpoint(path, model)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["arc1", "arc2"])
+@pytest.mark.parametrize("max_len", ["6", "12"])
+def test_eval_max_len_other_than_the_checkpoints_is_usage_error(tmp_path, synth_dir, capsys,
+                                                                kind, max_len):
+    # before, arc1 ended in a config error naming neither length, arc2 at 6 in
+    # one about a conv window, and arc2 at 12 scored at a length it was not built for
+    ckpt = _checkpoint_at_max_len_10(kind, tmp_path / "m.ckpt")
+    argv = ["eval", "--checkpoint", ckpt, "--random-embeddings", "--seed", "4", "--data"]
+    # the data file is missing: the lengths are compared before it is read
+    assert run([*argv, str(tmp_path / "missing"), "--max-len", max_len]) == 1
+    assert capsys.readouterr().err == (f"usage error: --max-len {max_len} does not match "
+                                       f"the checkpoint's max_len 10\n")
+    argv.append(str(synth_dir / "test.pairs"))
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run([*argv, "--max-len", "10"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_eval_max_len_of_a_wordembed_checkpoint_sets_the_encoding_length(trained, synth_dir,
+                                                                         capsys):
+    argv = ["eval", "--checkpoint", str(trained), "--data", str(synth_dir / "test.pairs"),
+            "--embeddings", str(trained) + ".embeddings.txt"]
+    outs = []
+    for max_len in ("3", "16"):
+        assert run([*argv, "--max-len", max_len]) == 0
+        outs.append(capsys.readouterr().out)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == outs[1] != outs[0]
+
+
+@pytest.mark.parametrize("flag", [("--negatives", "4"), ("--neg-mode", "random")])
+def test_ranking_flag_next_to_classify_is_usage_error(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing")
+    assert run(["eval", "--checkpoint", missing, "--data", missing, "--random-embeddings",
+                "--classify", "--threshold", "0.5", *flag]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag[0]} goes with ranking, not --classify\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_ranking_defaults_to_4_random_negatives(trained, synth_dir, capsys):
+    argv = ["eval", "--checkpoint", str(trained), "--data", str(synth_dir / "test.pairs"),
+            "--embeddings", str(trained) + ".embeddings.txt", "--seed", "5"]
+    assert run([*argv, "--negatives", "4", "--neg-mode", "random"]) == 0
+    explicit = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == explicit
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("eval", ["--data", "DATA", "--classify"], "--classify needs --threshold or --dev FILE"),
+    ("score", [], "need --pairs FILE or both --x and --y"),
+    ("score", ["--x", "a b"], "need --pairs FILE or both --x and --y"),
+])
+def test_missing_flag_is_usage_error_before_the_checkpoint_is_read(tmp_path, capsys, command,
+                                                                   extra, message):
+    # before, the checkpoint was opened first: a missing one exited 2
+    missing = str(tmp_path / "missing.ckpt")
+    extra = [missing if arg == "DATA" else arg for arg in extra]
+    assert run([command, "--checkpoint", missing, "--random-embeddings", *extra]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not list(tmp_path.iterdir())

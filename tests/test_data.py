@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -46,10 +49,10 @@ def test_load_pairs_empty_side_is_error():
 
 
 def test_triple_file_round_trip(tmp_path):
-    from arcmatch.data import TokenTriple, load_triples, save_triples
+    from arcmatch.data import Triple, load_triples, save_triples
 
-    triples = [TokenTriple(x=["a", "b"], y_pos=["c"], y_neg=["d", "e"]),
-               TokenTriple(x=["f"], y_pos=["g", "h"], y_neg=["i"])]
+    triples = [Triple(x=["a", "b"], y_pos=["c"], y_neg=["d", "e"]),
+               Triple(x=["f"], y_pos=["g", "h"], y_neg=["i"])]
     path = tmp_path / "t.tsv"
     save_triples(triples, path)
     with open(path, encoding="utf-8") as fh:
@@ -240,3 +243,14 @@ def test_read_rows_without_a_column_count_keeps_every_column():
     numbers, rows = read_rows(io.StringIO("a b\tc\t1\n\n\t\nd\n e \t\tf g\t\n"))
     assert numbers == [1, 4, 5]
     assert rows == [(["a", "b"], ["c"], ["1"]), (["d"],), (["e"], [], ["f", "g"], [])]
+
+
+def test_data_imports_only_embeddings_and_errors():
+    import arcmatch
+    src = os.path.dirname(os.path.dirname(arcmatch.__file__))
+    probe = ("import sys, arcmatch.data; "
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('arcmatch'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["arcmatch", "arcmatch.data", "arcmatch.embeddings",
+                           "arcmatch.errors"]

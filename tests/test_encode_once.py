@@ -13,14 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arcmatch.data import (EncodedInstance, TokenTriple, encode_instances,
-                           encode_triples, gen_synthetic_corpus,
-                           make_eval_instances, sample_negatives)
+from arcmatch.data import (RankingInstance, Triple, encode_instances, encode_triples,
+                           gen_synthetic_corpus, make_eval_instances, sample_negatives)
 from arcmatch.embeddings import EmbeddingTable, RunStats, encode_sentence, random_embeddings
 from arcmatch.errors import DataError
 from arcmatch.models import KINDS, MODEL_KINDS, build_model, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import TrainConfig, Triple, _refresh, sgd_step, train
+from arcmatch.training import TrainConfig, _refresh, sgd_step, train
 
 MAX_LEN = 9
 DIM = 4
@@ -40,7 +39,7 @@ def _side_by_side_triples(token_triples, table, max_len, stats=None):
 
 
 def _side_by_side_instances(instances, table, max_len, stats=None):
-    return [EncodedInstance(x=encode_sentence(inst.x, table, max_len, stats),
+    return [RankingInstance(x=encode_sentence(inst.x, table, max_len, stats),
                             candidates=[encode_sentence(c, table, max_len, stats)
                                         for c in inst.candidates],
                             answer=inst.answer)
@@ -66,7 +65,7 @@ def test_equal_token_lists_share_one_sentence_and_unequal_ones_do_not():
     assert len({i for ids in by_tokens.values() for i in ids}) == len(by_tokens)
     assert len(by_tokens) < len(_slots(token_triples))  # sharing happened
     # a list equal to another triple's list on a different side is shared too
-    a, b = TokenTriple(["p", "q"], ["r"], ["s"]), TokenTriple(["r"], ["p", "q"], ["r", "s"])
+    a, b = Triple(["p", "q"], ["r"], ["s"]), Triple(["r"], ["p", "q"], ["r", "s"])
     ea, eb = encode_triples([a, b], table, MAX_LEN)
     assert ea.x is eb.y_pos and ea.y_pos is eb.x
     assert eb.y_neg is not ea.y_pos and eb.y_neg is not ea.y_neg
@@ -109,9 +108,9 @@ def test_run_stats_count_every_occurrence_including_truncated():
 def test_encoding_checks_still_run():
     _, table = _corpus(10)
     with pytest.raises(DataError):
-        encode_triples([TokenTriple(["a"], [], ["b"])], table, MAX_LEN)
+        encode_triples([Triple(["a"], [], ["b"])], table, MAX_LEN)
     with pytest.raises(DataError):
-        encode_triples([TokenTriple(["a"], ["b"], ["c"])], table, 0)
+        encode_triples([Triple(["a"], ["b"], ["c"])], table, 0)
     assert encode_triples([], table, 0) == []
 
 
@@ -120,7 +119,7 @@ def test_an_encoding_error_leaves_the_counts_of_the_slots_before_it():
     long = ["a"] * (MAX_LEN + 3)
     stats = RunStats()
     with pytest.raises(DataError, match="empty"):
-        encode_triples([TokenTriple(long, ["b"], ["c"]), TokenTriple(long, ["b"], [])],
+        encode_triples([Triple(long, ["b"], ["c"]), Triple(long, ["b"], [])],
                        table, MAX_LEN, stats)
     assert (stats.sentences, stats.truncated) == (5, 2)
 

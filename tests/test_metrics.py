@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from arcmatch.data import EncodedInstance
+from arcmatch.data import RankingInstance, Triple
 from arcmatch.errors import DataError
 from arcmatch.metrics import classify_eval, margin_stats, p_at_1, select_threshold
 from arcmatch.tensor import make_rng
-from arcmatch.training import Triple
 
 
 class FakeInstance:
@@ -218,7 +217,7 @@ def test_margin_stats_untrained_vs_trained():
 
 def test_report_render_formats():
     report = p_at_1(lambda x, c: float(c == 1),
-                    [EncodedInstance(x=0, candidates=[0, 1], answer=1)])
+                    [RankingInstance(x=0, candidates=[0, 1], answer=1)])
     text = report.table()
     kv = report.kv_lines()
     assert "p_at_1" in text

@@ -11,12 +11,11 @@ import pytest
 import arcmatch
 from arcmatch.arc1 import build_arc1
 from arcmatch.baselines import build_wordembed
-from arcmatch.data import EncodedInstance
+from arcmatch.data import RankingInstance, Triple
 from arcmatch.errors import DataError, NumericError
 from arcmatch.models import MODEL_KINDS, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import (TrainConfig, Triple, gradient_check, hinge_loss,
-                               sgd_step, train)
+from arcmatch.training import TrainConfig, gradient_check, hinge_loss, sgd_step, train
 
 from conftest import random_sentence, small_table
 
@@ -132,7 +131,7 @@ def _instances(table, n, rng, m=4, max_len=10):
     out = []
     for _ in range(n):
         cands = [random_sentence(table, max_len, rng) for _ in range(m + 1)]
-        out.append(EncodedInstance(x=random_sentence(table, max_len, rng),
+        out.append(RankingInstance(x=random_sentence(table, max_len, rng),
                                    candidates=cands,
                                    answer=int(rng.integers(m + 1))))
     return out
