@@ -25,9 +25,10 @@ _EXPORTS = {
             "make_eval_instances sample_negatives save_pairs save_triples",
     "embeddings": "EmbeddingTable EncodedSentence Vocabulary encode_sentence "
                   "load_embeddings random_embeddings tokenize",
-    "metrics": "EvalReport classify_eval margin_stats p_at_1",
+    "metrics": "EvalReport classify_eval margin_stats p_at_1 rank_report",
     "tensor": "activate finite_diff init_uniform make_rng",
-    "training": "TrainConfig TrainHistory gradient_check hinge_loss sgd_step train",
+    "training": "TrainConfig TrainHistory gradient_check hinge_loss score_instances sgd_step "
+                "train",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

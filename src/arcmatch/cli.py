@@ -13,14 +13,14 @@ import sys
 
 from . import data as dp
 from .checkpoint import load_checkpoint, save_checkpoint
-from .embeddings import (RunStats, encode_sentence, load_embeddings, open_text,
-                         random_embeddings, tokenize, write_embeddings)
+from .embeddings import (RunStats, load_embeddings, open_text, random_embeddings,
+                         tokenize, write_embeddings)
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
-from .metrics import classify_eval, p_at_1, select_threshold
-from .models import MODEL_KINDS, _ints, _pairs, build_model
+from .metrics import classify_eval, rank_report, select_threshold
+from .models import KINDS, MODEL_KINDS, _ints, _pairs, build_model, builder_args
 from .tensor import make_rng
-from .training import TrainConfig, gradient_check, train
+from .training import TrainConfig, gradient_check, score_instances, train
 
 
 class UsageError(ArcMatchError):
@@ -73,15 +73,17 @@ def build_parser() -> _Parser:
     _add_embedding_source(t)
     t.add_argument("--embed-dim", type=int, help="--random-embeddings width (default 50)")
     t.add_argument("--max-len", type=positive_int, default=16)
-    t.add_argument("--window", type=int, default=3)
-    t.add_argument("--maps", type=_ints, default="",
+    t.add_argument("--window", type=int,
+                   help="first conv window (arc1, arc2, senna; default 3)")
+    t.add_argument("--maps", type=_ints,
                    help="feature maps, e.g. '16,16' (arc1; default 16,16); "
                         "arc2 and senna take the first")
-    t.add_argument("--twod", type=_pairs, default="2:16,2:16",
-                   help="2D conv layers for arc2 as window:maps,...")
+    t.add_argument("--twod", type=_pairs,
+                   help="2D conv layers for arc2 as window:maps,... (default 2:16,2:16)")
     t.add_argument("--hidden", type=_ints, default="64", help="MLP hidden widths, csv")
     t.add_argument("--activation", default="relu", choices=("relu", "sigmoid"))
-    t.add_argument("--tie-weights", action="store_true")
+    t.add_argument("--tie-weights", action="store_true", default=None,
+                   help="one sentence encoder for x and y (arc1)")
     t.add_argument("--dropout", type=float, default=0.0)
     t.add_argument("--lr", type=float, default=0.05)
     t.add_argument("--batch-size", type=int, default=128)
@@ -134,6 +136,12 @@ def build_parser() -> _Parser:
 # --- helpers ----------------------------------------------------------------
 
 
+def _unread(*arguments):
+    """When a model flag is ignored: --model's builder takes none of the
+    arguments it feeds (see _build_model)."""
+    return lambda a: not builder_args(a.model) & set(arguments)
+
+
 # (flags, when they would be ignored, why): giving one then is a usage error
 _IGNORED_FLAGS = (
     (("--embed-dim", "--embed-seed", "--vocab-from"), lambda a: a.embeddings is not None,
@@ -143,6 +151,10 @@ _IGNORED_FLAGS = (
     (("--x", "--y"), lambda a: a.pairs is not None, "goes with one pair, not --pairs"),
     (("--negatives", "--neg-mode"), lambda a: getattr(a, "classify", False),
      "goes with ranking, not --classify"),
+    (("--window",), _unread("windows", "window1", "window"), "is not read by --model {model}"),
+    (("--maps",), _unread("feature_maps", "maps1", "maps"), "is not read by --model {model}"),
+    (("--twod",), _unread("twod_layers"), "is not read by --model {model}"),
+    (("--tie-weights",), _unread("tie_weights"), "is not read by --model {model}"),
 )
 
 
@@ -151,7 +163,7 @@ def _refuse_ignored_flags(args) -> None:
     for flags, ignored, why in _IGNORED_FLAGS:
         for flag in flags:
             if getattr(args, flag[2:].replace("-", "_"), None) is not None and ignored(args):
-                raise UsageError(f"{flag} {why}")
+                raise UsageError(f"{flag} {why.format_map(vars(args))}")
 
 
 def _collect_tokens(paths) -> set:
@@ -190,22 +202,32 @@ def _checkpoint_table(args, vocab_default, kv):
 def _build_model(args, embed_dim):
     """The model the flags describe; each kind reads the builder arguments
     it takes (see models.KINDS)."""
+    window = 3 if args.window is None else args.window
     maps = args.maps or (16, 16)
+    twod = ((2, 16), (2, 16)) if args.twod is None else args.twod
     flags = dict(embed_dim=embed_dim, max_len=args.max_len,
-                 windows=(args.window, 2), feature_maps=maps,
-                 window1=args.window, maps1=maps[0], window=args.window, maps=maps[0],
-                 twod_layers=args.twod, hidden=args.hidden, activation=args.activation,
-                 dropout=args.dropout, tie_weights=args.tie_weights)
+                 windows=(window, 2), feature_maps=maps,
+                 window1=window, maps1=maps[0], window=window, maps=maps[0],
+                 twod_layers=twod, hidden=args.hidden, activation=args.activation,
+                 dropout=args.dropout, tie_weights=bool(args.tie_weights))
     return build_model(args.model, flags, make_rng(args.seed))
 
 
-def _encoding_scorer(model, table, max_len, stats):
-    def score(x_tokens, y_tokens):
-        sx = encode_sentence(x_tokens, table, max_len, stats)
-        sy = encode_sentence(y_tokens, table, max_len, stats)
-        return model.score(sx, sy)[0]
+def _score_pairs(model, table, max_len, stats, pairs):
+    """Scores of (x, y) token pairs, yielded as each group of them is
+    encoded and scored; one group is as many pairs as score_instances
+    stacks in one call, so no file-sized set of matrices is held."""
+    group = 2 * KINDS[model.kind].chunk
+    for start in range(0, len(pairs), group):
+        instances = [dp.RankingInstance(x, [y], 0) for x, y in pairs[start : start + group]]
+        yield from score_instances(model, dp.encode_instances(instances, table, max_len,
+                                                              stats))[:, 0].tolist()
 
-    return score
+
+def _note_truncated(stats, length, file=None) -> None:
+    if stats.truncated:
+        print(f"note: {stats.truncated}/{stats.sentences} sentences truncated to {length}",
+              file=file)
 
 
 # --- commands ---------------------------------------------------------------
@@ -275,9 +297,7 @@ def cmd_train(args) -> int:
     best = history.best
     if best is not None:
         print(f"best val_p1 {best[3]:.4f} at batch {best[1]}")
-    if stats.truncated:
-        print(f"note: {stats.truncated}/{stats.sentences} sentences truncated "
-              f"to --max-len {args.max_len}")
+    _note_truncated(stats, f"--max-len {args.max_len}")
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -293,14 +313,11 @@ def cmd_eval(args) -> int:
     max_len = args.max_len if args.max_len is not None else int(kv.get("max_len", 16))
     stats = RunStats()
     if args.classify:
-        # encodes pair by pair, so no file-sized set of matrices is held
-        scorer = _encoding_scorer(model, table, max_len, stats)
-        labeled = _load_labeled(args.data)
-        if args.threshold is not None:
-            threshold = args.threshold
-        else:
-            threshold = select_threshold(scorer, _load_labeled(args.dev))
-        report = classify_eval(scorer, labeled, threshold)
+        scores, labels = _score_labeled(args.data, model, table, max_len, stats)
+        threshold = args.threshold
+        if threshold is None:
+            threshold = select_threshold(*_score_labeled(args.dev, model, table, max_len, stats))
+        report = classify_eval(scores, labels, threshold)
     else:
         with open_text(args.data) as fh:
             corpus = dp.load_pairs(fh, provenance=args.data)
@@ -309,14 +326,16 @@ def cmd_eval(args) -> int:
         instances = dp.make_eval_instances(corpus, negatives, args.neg_mode or "random",
                                            table, rng, stats)
         encoded = dp.encode_instances(instances, table, max_len, stats)
-        report = p_at_1(lambda sx, sy: model.score(sx, sy)[0], encoded)
+        report = rank_report(score_instances(model, encoded), [i.answer for i in encoded])
     print(report.table())
     print()
     print(report.kv_lines())
+    _note_truncated(stats, f"max_len {max_len}", sys.stderr)
     return 0
 
 
-def _load_labeled(path):
+def _score_labeled(path, model, table, max_len, stats):
+    """Scores and labels of a labeled pair file's pairs."""
     with open_text(path) as fh:
         numbers, rows = dp.read_rows(fh)
     for lineno, row in zip(numbers, rows):
@@ -332,7 +351,8 @@ def _load_labeled(path):
             raise ParseError("labeled pair has an empty side", line=lineno)
     if not rows:
         raise DataError(f"no labeled pairs in {path}")
-    return [(x, y, int(label[0])) for x, y, label in rows]
+    scores = _score_pairs(model, table, max_len, stats, [(x, y) for x, y, _ in rows])
+    return list(scores), [int(label[0]) for _, _, label in rows]
 
 
 def cmd_score(args) -> int:
@@ -342,20 +362,19 @@ def cmd_score(args) -> int:
     table = _checkpoint_table(args, [args.pairs] if args.pairs else [], kv)
     max_len = int(kv.get("max_len", 16))
     stats = RunStats()
-    scorer = _encoding_scorer(model, table, max_len, stats)
     if args.pairs:
         with open_text(args.pairs) as fh:
-            corpus = dp.load_pairs(fh, provenance=args.pairs)
-        for x, y in corpus.pairs:
-            print(f"{scorer(x, y):.6f}")
+            pairs = dp.load_pairs(fh, provenance=args.pairs).pairs
     else:
         for flag, text in (("--x", args.x), ("--y", args.y)):
             if text != text.encode("utf-8", "replace").decode():  # argv's undecodable bytes
                 raise DataError(f"{flag} is not UTF-8 text")
-        xt, yt = tokenize(args.x), tokenize(args.y)
-        if not xt or not yt:
+        pairs = [(tokenize(args.x), tokenize(args.y))]
+        if not all(pairs[0]):
             raise DataError("cannot score an empty sentence")
-        print(f"{scorer(xt, yt):.6f}")
+    for score in _score_pairs(model, table, max_len, stats, pairs):
+        print(f"{score:.6f}")
+    _note_truncated(stats, f"max_len {max_len}", sys.stderr)
     return 0
 
 

@@ -33,76 +33,61 @@ class EvalReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def p_at_1(score_fn, instances) -> EvalReport:
+def rank_report(scores, answers) -> EvalReport:
     """Fraction of instances whose true candidate is the strict maximum.
 
-    Ties at the top count as failures, so a constant scorer earns zero.
-    score_fn(x, candidate) -> float; instances carry .x, .candidates and
-    .answer (any sentence representation score_fn accepts).
+    Row i of scores holds instance i's candidate scores, and answers[i] is
+    the column of its true y. Ties at the top count as failures, so a
+    constant scorer earns zero. Padding a row with -inf changes no maximum.
     """
-    if not instances:
+    scores = np.asarray(scores, dtype=np.float64)
+    if not len(scores):
         raise DataError("p_at_1: no instances")
-    hits = 0
-    ties = 0
-    margins = []
-    for inst in instances:
-        scores = np.array([score_fn(inst.x, c) for c in inst.candidates])
-        truth = scores[inst.answer]
-        others = np.delete(scores, inst.answer)
-        margin = truth - others.max()
-        margins.append(margin)
-        if margin > 0.0:
-            hits += 1
-        elif margin == 0.0:
-            ties += 1
-    margins = np.array(margins)
-    return EvalReport(
-        metric="p_at_1",
-        value=hits / len(instances),
-        count=len(instances),
-        extras={
-            "top_ties": ties,
-            "margin_mean": float(margins.mean()),
-            "margin_median": float(np.median(margins)),
-        },
-    )
+    if scores.ndim != 2 or scores.shape[1] < 2:
+        raise DataError("p_at_1: every instance needs 2 or more candidates")
+    rows = np.arange(len(scores))
+    others = scores.copy()
+    others[rows, answers] = -np.inf
+    margins = scores[rows, answers] - others.max(axis=1)
+    return EvalReport("p_at_1", int((margins > 0.0).sum()) / len(scores), len(scores),
+                      {"top_ties": int((margins == 0.0).sum()),
+                       "margin_mean": float(margins.mean()),
+                       "margin_median": float(np.median(margins))})
 
 
-def classify_eval(score_fn, labeled_pairs, threshold: float) -> EvalReport:
-    """Accuracy and F1 of `score >= threshold` as a match predictor.
+def p_at_1(score_fn, instances) -> EvalReport:
+    """rank_report of score_fn(x, candidate) -> float, called pair by pair in
+    instance order on instances' .x, .candidates and .answer; rows of fewer
+    candidates are padded with -inf."""
+    rows = [[score_fn(inst.x, c) for c in inst.candidates] for inst in instances]
+    if min(map(len, rows), default=2) < 2:
+        raise DataError("p_at_1: every instance needs 2 or more candidates")
+    width = max(map(len, rows), default=0)
+    return rank_report([row + [-np.inf] * (width - len(row)) for row in rows],
+                       [inst.answer for inst in instances])
 
-    labeled_pairs: iterable of (x, y, label) with label in {0, 1}. F1 is 0
-    by convention when there are no positive predictions.
-    """
-    labeled_pairs = list(labeled_pairs)
-    if not labeled_pairs:
+
+def classify_eval(scores, labels, threshold: float) -> EvalReport:
+    """Accuracy and F1 of `score >= threshold` as a match predictor, given
+    pairs' scores and labels in {0, 1}. F1 is 0 by convention when there
+    are no positive predictions."""
+    if not len(scores):
         raise DataError("classify_eval: no labeled pairs")
-    tp = fp = tn = fn = 0
-    for x, y, label in labeled_pairs:
-        pred = 1 if score_fn(x, y) >= threshold else 0
-        if pred and label:
-            tp += 1
-        elif pred and not label:
-            fp += 1
-        elif not pred and label:
-            fn += 1
-        else:
-            tn += 1
+    pred, labels = np.asarray(scores) >= threshold, np.asarray(labels, dtype=bool)
+    tp, fp = int((pred & labels).sum()), int((pred & ~labels).sum())
+    fn, tn = int((~pred & labels).sum()), int((~pred & ~labels).sum())
     total = tp + fp + tn + fn
     accuracy = (tp + tn) / total
-    if tp + fp == 0:
-        f1 = 0.0
-    else:
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(metric="accuracy", value=accuracy, count=total,
                       extras={"f1": f1, "threshold": float(threshold),
                               "tp": tp, "fp": fp, "tn": tn, "fn": fn})
 
 
-def select_threshold(score_fn, dev_pairs) -> float:
-    """Pick the accuracy-maximizing threshold on a dev split.
+def select_threshold(scores, labels) -> float:
+    """Pick the accuracy-maximizing threshold for dev pairs' scores and labels.
 
     The grid is the set of observed score quantiles (i.e., every score,
     plus one value below the minimum so 'predict everything' is available);
@@ -111,12 +96,10 @@ def select_threshold(score_fn, dev_pairs) -> float:
     pairs' predictions to 0, which gains its negatives and loses its
     positives.
     """
-    dev_pairs = list(dev_pairs)
-    if not dev_pairs:
+    if not len(scores):
         raise DataError("select_threshold: no dev pairs")
     # a stable sort keeps the first of equal scores (0.0 and -0.0) first
-    scored = sorted(((score_fn(x, y), label) for x, y, label in dev_pairs),
-                    key=lambda pair: pair[0])
+    scored = sorted(zip(scores, labels), key=lambda pair: pair[0])
     best_t = scored[0][0] - 1.0
     correct = best_correct = sum(1 for _, label in scored if label)
     for t, tied in itertools.groupby(scored, key=lambda pair: pair[0]):
@@ -127,15 +110,12 @@ def select_threshold(score_fn, dev_pairs) -> float:
     return float(best_t)
 
 
-def margin_stats(score_fn, triples) -> EvalReport:
-    """Distribution of s(x, y+) - s(x, y-) over triples."""
-    triples = list(triples)
-    if not triples:
+def margin_stats(pos, neg) -> EvalReport:
+    """Distribution of s(x, y+) - s(x, y-), given triples' pos and neg scores."""
+    if not len(pos):
         raise DataError("margin_stats: no triples")
-    margins = np.array([
-        score_fn(t.x, t.y_pos) - score_fn(t.x, t.y_neg) for t in triples
-    ])
+    margins = np.asarray(pos, dtype=np.float64) - np.asarray(neg, dtype=np.float64)
     frac = float((margins >= 1.0).mean())
-    return EvalReport(metric="margin_ge_1", value=frac, count=len(triples),
+    return EvalReport(metric="margin_ge_1", value=frac, count=len(margins),
                       extras={"margin_mean": float(margins.mean()),
                               "margin_median": float(np.median(margins))})

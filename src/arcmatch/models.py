@@ -124,13 +124,17 @@ KINDS = {
 MODEL_KINDS = tuple(KINDS)
 
 
+def builder_args(kind: str) -> set:
+    """The builder arguments of a kind: one per checkpoint key."""
+    return {key.arg or name for name, key in KINDS[kind].keys.items()}
+
+
 def build_model(kind: str, arguments: dict, rng):
     """Build a model of `kind` from whichever of `arguments` its builder
     takes; the rest are ignored, and missing ones take the builder's
     defaults."""
-    spec = KINDS[kind]
-    args = (key.arg or name for name, key in spec.keys.items())
-    return spec.build(rng=rng, **{a: arguments[a] for a in args if a in arguments})
+    return KINDS[kind].build(rng=rng, **{a: arguments[a] for a in builder_args(kind)
+                                         if a in arguments})
 
 
 def model_config_kv(model) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EncodedSentence, random_embeddings, encode_sentence
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .metrics import p_at_1
+from .metrics import rank_report
 from .mlp import draw_dropout_masks
 from .models import (KINDS, build_model, clone_params, param_vector,
                      restore_params, set_param_vector)
@@ -216,6 +216,25 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     return total_loss / len(batch)
 
 
+def score_instances(model, instances) -> np.ndarray:
+    """Scores [N, m+1] of encoded instances' candidates against their x,
+    equal to per-pair model.score calls bit for bit. The instances share one
+    candidate count; each group of them is one stacked call, x [G, 1, L, D]
+    against [G, m+1, L, D], of about the 2 * chunk pairs an SGD chunk scores."""
+    width = len(instances[0].candidates) if instances else 0
+    if any(len(inst.candidates) != width for inst in instances):
+        raise ShapeError("instances scored together must share one candidate count")
+    group = max(1, 2 * KINDS[model.kind].chunk // max(width, 1))
+    scores = np.empty((len(instances), width))
+    for start in range(0, len(instances), group):
+        chunk = instances[start : start + group]
+        x, _ = _stack([inst.x for inst in chunk], None)
+        y, _ = _stack([c for inst in chunk for c in inst.candidates], None)
+        scores[start : start + len(chunk)] = model.score(
+            x[:, None], y.reshape(len(chunk), width, *y.shape[1:]))[0]
+    return scores
+
+
 def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
           log=None):
     """Mini-batch SGD with periodic validation P@1 and early stopping.
@@ -248,6 +267,7 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     # before every evaluation and after the best table is restored
     stale = ({id(s): s for inst in val_instances for s in (inst.x, *inst.candidates)}
              if best_table is not None else {})
+    answers = [inst.answer for inst in val_instances]
 
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
@@ -261,7 +281,7 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
             if batches % cfg.eval_every == 0 or (last and not history.records):
                 for sent in stale.values():
                     _refresh(sent, table)
-                report = p_at_1(lambda sx, sy: model.score(sx, sy)[0], val_instances)
+                report = rank_report(score_instances(model, val_instances), answers)
                 val_p1 = report.value
                 train_loss = loss_sum / max(loss_count, 1)
                 history.add(epoch, batches, train_loss, val_p1)

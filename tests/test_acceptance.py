@@ -384,8 +384,8 @@ def test_criterion_10_loss_and_metric_properties():
     for transform in (lambda s: 2.5 * s + 1.0, np.exp, lambda s: s ** 3):
         assert run(transform) == base
 
-    pairs = [("x", "y", 1)] * 665 + [("x", "y", 0)] * 335
-    report = classify_eval(lambda x, y: 1.0, pairs, threshold=0.0)
+    labels = [1] * 665 + [0] * 335
+    report = classify_eval([1.0] * len(labels), labels, threshold=0.0)
     assert report.value == pytest.approx(0.665)
     assert report.extras["f1"] == pytest.approx(2 * 0.665 / 1.665, abs=1e-9)
     _p(f"PASS criterion 10: hinge examples exact; P@1 invariant under monotone "

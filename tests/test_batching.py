@@ -1,9 +1,11 @@
-"""Leading-dimension convention and the chunked SGD step.
+"""Leading-dimension convention, the chunked SGD step and stacked eval.
 
 Every layer accepts stacked inputs with leading batch dimensions and must
 return, bit for bit, what per-item calls return. sgd_step runs each chunk
 of triples as one stacked score/backward; it must agree with scoring and
-backpropagating every pair on its own and summing.
+backpropagating every pair on its own and summing. score_instances scores
+groups of ranking instances in stacks and must return the per-pair
+scores bit for bit.
 """
 
 import functools
@@ -15,13 +17,14 @@ from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import build_arc2, conv2d_gated, interaction_conv1d, maxpool2d
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.conv_sentence import conv1d_gated, maxpool1d, maxpool_backward
-from arcmatch.data import Triple
-from arcmatch.embeddings import EmbeddingTable
+from arcmatch.data import RankingInstance, Triple
+from arcmatch.embeddings import EmbeddingTable, EncodedSentence
 from arcmatch.errors import ShapeError
 from arcmatch.mlp import build_head, draw_dropout_masks, head_forward
 from arcmatch.models import KINDS, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import TrainConfig, hinge_loss, sgd_step
+from arcmatch import training
+from arcmatch.training import TrainConfig, hinge_loss, score_instances, sgd_step
 
 from conftest import random_sentence, small_table
 
@@ -314,3 +317,83 @@ def test_sgd_step_rejects_a_chunk_of_mixed_padded_lengths():
     model = build_wordembed(4, make_rng(16), hidden=(6,))
     with pytest.raises(ShapeError):
         sgd_step(model, batch, TrainConfig(batch_size=2), make_rng(17))
+
+
+# ---- score_instances: stacked groups == per-pair scores, bitwise ------------
+
+def _instances(table, n, width, rng, y_len=MAX_LEN):
+    """Instances whose sentences mix every padding, from 1 word to none."""
+    def sentence(max_len):
+        return random_sentence(table, max_len, rng, min_len=1)
+
+    return [RankingInstance(sentence(MAX_LEN), [sentence(y_len) for _ in range(width)],
+                            int(rng.integers(width))) for _ in range(n)]
+
+
+def _per_pair(model, instances):
+    return np.array([[model.score(inst.x, c)[0] for c in inst.candidates]
+                     for inst in instances])
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_score_instances_equals_per_pair_score(kind):
+    table = small_table()
+    model = BUILDERS[kind](make_rng(20))
+    width = 5
+    group = 2 * KINDS[model.kind].chunk // width
+    rng = make_rng(21)
+    for n in (1, group, group + 1):
+        instances = _instances(table, n, width, rng)
+        lengths = {s.length for inst in instances for s in (inst.x, *inst.candidates)}
+        if n > 1:
+            assert {1, MAX_LEN} <= lengths  # unpadded and mostly padded sentences
+        got = score_instances(model, instances)
+        assert got.shape == (n, width) and _same(got, _per_pair(model, instances))
+
+
+def test_score_instances_stacks_x_and_candidates_of_different_lengths():
+    table = small_table()
+    model = build_arc1(4, MAX_LEN, make_rng(22), windows=(3, 2), feature_maps=(3, 2),
+                       hidden=(6,), max_len_y=MAX_LEN + 3)
+    instances = _instances(table, 40, 3, make_rng(23), y_len=MAX_LEN + 3)
+    assert _same(score_instances(model, instances), _per_pair(model, instances))
+
+
+def test_score_instances_rejects_instances_of_different_candidate_counts():
+    table = small_table()
+    rng = make_rng(24)
+    instances = _instances(table, 2, 3, rng) + _instances(table, 1, 2, rng)
+    with pytest.raises(ShapeError):
+        score_instances(BUILDERS["wordembed"](make_rng(25)), instances)
+
+
+def _fresh(sent, table):
+    """sent encoded anew from the table's current vectors."""
+    x = np.zeros_like(sent.x)
+    x[: sent.length] = table.vectors[sent.ids]
+    return EncodedSentence(sent.ids, sent.length, x)
+
+
+def test_fine_tuned_validation_scores_the_refreshed_matrices(monkeypatch):
+    # every evaluation train makes scores what the table holds at that point
+    table = small_table()
+    rng = make_rng(26)
+    triples = _triples(table, 48, rng)
+    val = _instances(table, 30, 4, rng)
+    calls = []
+
+    def checked(model, instances):
+        fresh = [RankingInstance(_fresh(inst.x, table),
+                                 [_fresh(c, table) for c in inst.candidates], inst.answer)
+                 for inst in instances]
+        got = score_instances(model, instances)
+        calls.append(_same(got, _per_pair(model, fresh)))
+        return got
+
+    monkeypatch.setattr(training, "score_instances", checked)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=8, max_epochs=3, eval_every=2,
+                      finetune_embeddings=True)
+    before = table.vectors.copy()
+    training.train(BUILDERS["arc2"](make_rng(27)), triples, val, cfg, table=table)
+    assert not np.array_equal(table.vectors, before)  # the embeddings moved
+    assert len(calls) > 3 and all(calls)

@@ -346,13 +346,31 @@ def test_malformed_split_is_usage_error(tmp_path, split):
     assert not out.exists()
 
 
+def _per_pair_scorer(model, table, max_len):
+    """The oracle: each pair's two sentences encoded and scored on their own."""
+    from arcmatch.embeddings import encode_sentence
+
+    def score(x, y):
+        return model.score(encode_sentence(x, table, max_len),
+                           encode_sentence(y, table, max_len))[0]
+
+    return score
+
+
+def _trained_scorer(trained):
+    from arcmatch.checkpoint import load_checkpoint
+    from arcmatch.embeddings import load_embeddings
+
+    model, kv = load_checkpoint(trained)
+    with open(str(trained) + ".embeddings.txt", encoding="utf-8") as fh:
+        table = load_embeddings(fh)
+    return _per_pair_scorer(model, table, int(kv.get("max_len", 16))), table
+
+
 @pytest.mark.parametrize("negatives,neg_mode,seed", [("4", "random", "7"), ("9", "shuffle", "2")])
 def test_eval_ranking_prints_the_per_pair_scorers_report(trained, synth_dir, capsys,
                                                          negatives, neg_mode, seed):
-    from arcmatch.checkpoint import load_checkpoint
-    from arcmatch.cli import _encoding_scorer
     from arcmatch.data import make_eval_instances
-    from arcmatch.embeddings import RunStats, load_embeddings
     from arcmatch.metrics import p_at_1
     from arcmatch.tensor import make_rng
 
@@ -361,14 +379,11 @@ def test_eval_ranking_prints_the_per_pair_scorers_report(trained, synth_dir, cap
                 "--embeddings", embeddings, "--negatives", negatives,
                 "--neg-mode", neg_mode, "--seed", seed]) == 0
     out = capsys.readouterr().out
-    model, kv = load_checkpoint(trained)
-    with open(embeddings, encoding="utf-8") as fh:
-        table = load_embeddings(fh)
+    scorer, table = _trained_scorer(trained)
     with open(synth_dir / "test.pairs", encoding="utf-8") as fh:
         corpus = load_pairs(fh)
     instances = make_eval_instances(corpus, int(negatives), neg_mode, table,
                                     make_rng(int(seed)))
-    scorer = _encoding_scorer(model, table, int(kv.get("max_len", 16)), RunStats())
     report = p_at_1(scorer, instances)
     assert out == report.table() + "\n\n" + report.kv_lines() + "\n"
 
@@ -714,3 +729,105 @@ def test_missing_flag_is_usage_error_before_the_checkpoint_is_read(tmp_path, cap
     assert run([command, "--checkpoint", missing, "--random-embeddings", *extra]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def _labeled_file(synth_dir, path):
+    with open(synth_dir / "test.pairs", encoding="utf-8") as fh:
+        pairs = load_pairs(fh).pairs
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (x, y) in enumerate(pairs):
+            fh.write(" ".join(x) + "\t" + " ".join(y) + f"\t{i % 3 == 0:d}\n")
+    return pairs, [int(i % 3 == 0) for i in range(len(pairs))]
+
+
+def test_eval_classify_prints_the_per_pair_scorers_report(trained, synth_dir, tmp_path,
+                                                          capsys):
+    from arcmatch.metrics import classify_eval, select_threshold
+
+    pairs, labels = _labeled_file(synth_dir, tmp_path / "labeled.tsv")
+    scorer, _ = _trained_scorer(trained)
+    scores = [scorer(x, y) for x, y in pairs]
+    argv = ["eval", "--checkpoint", str(trained), "--data", str(tmp_path / "labeled.tsv"),
+            "--embeddings", str(trained) + ".embeddings.txt", "--classify"]
+    for extra, threshold in ((["--threshold", "0.25"], 0.25),
+                             (["--dev", str(tmp_path / "labeled.tsv")],
+                              select_threshold(scores, labels))):
+        assert run([*argv, *extra]) == 0
+        report = classify_eval(scores, labels, threshold)
+        assert capsys.readouterr().out == report.table() + "\n\n" + report.kv_lines() + "\n"
+
+
+def test_score_pairs_prints_the_per_pair_scores(trained, synth_dir, tmp_path, capsys):
+    # train.pairs twice: more than one stacked group (128 wordembed pairs)
+    (tmp_path / "p.pairs").write_text(2 * (synth_dir / "train.pairs").read_text())
+    assert run(["score", "--checkpoint", str(trained),
+                "--embeddings", str(trained) + ".embeddings.txt",
+                "--pairs", str(tmp_path / "p.pairs")]) == 0
+    scorer, _ = _trained_scorer(trained)
+    with open(tmp_path / "p.pairs", encoding="utf-8") as fh:
+        pairs = load_pairs(fh).pairs
+    assert len(pairs) > 128
+    assert capsys.readouterr().out == "".join(f"{scorer(x, y):.6f}\n" for x, y in pairs)
+
+
+def test_eval_and_score_report_truncation_on_stderr(tmp_path, capsys):
+    # three pairs, two of whose sentences are longer than the checkpoint's max_len 10
+    ckpt = _checkpoint_at_max_len_10("arc1", tmp_path / "m.ckpt")
+    long = " ".join(["t0w1"] * 12)
+    rows = [(long, "t0w2 t0w3"), ("t0w1", " ".join(["t0w2"] * 11)), ("t0w1 t0w2", "t0w3")]
+    (tmp_path / "p.pairs").write_text("".join(f"{x}\t{y}\n" for x, y in rows))
+    (tmp_path / "l.tsv").write_text("".join(f"{x}\t{y}\t1\n" for x, y in rows))
+    common = ["--checkpoint", ckpt, "--random-embeddings",
+              "--vocab-from", str(tmp_path / "p.pairs")]
+    note = "note: 2/6 sentences truncated to max_len 10\n"
+    assert run(["score", *common, "--pairs", str(tmp_path / "p.pairs")]) == 0
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 3 and out.err == note
+    assert run(["score", *common, "--x", long, "--y", "t0w2"]) == 0
+    assert capsys.readouterr().err == "note: 1/2 sentences truncated to max_len 10\n"
+    assert run(["eval", *common, "--data", str(tmp_path / "l.tsv"), "--classify",
+                "--threshold", "0"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("metric") and out.err == note
+    # two instances of x, the true y and the other pair's y: the long x once,
+    # and the long y as truth once and as a negative once
+    (tmp_path / "r.pairs").write_text("".join(f"{x}\t{y}\n" for x, y in rows[:2]))
+    assert run(["eval", *common, "--data", str(tmp_path / "r.pairs"), "--negatives", "1"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("metric")
+    assert out.err == "note: 3/6 sentences truncated to max_len 10\n"
+    assert run(["score", *common, "--x", "t0w1", "--y", "t0w2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("model,flag", [
+    ("arc2", ["--tie-weights"]), ("senna", ["--tie-weights"]), ("wordembed", ["--tie-weights"]),
+    ("arc1", ["--twod", "2:8"]), ("senna", ["--twod", "2:8"]), ("senmlp", ["--twod", "2:8"]),
+    ("wordembed", ["--window", "5"]), ("senmlp", ["--window", "5"]),
+    ("wordembed", ["--maps", "3,3"]), ("senmlp", ["--maps", "3,3"]),
+])
+def test_model_flag_the_kind_does_not_read_is_usage_error(tmp_path, capsys, model, flag):
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--model", model, "--train", missing, "--val", missing,
+            "--out", str(tmp_path / "m.ckpt"), "--random-embeddings"]
+    assert run([*argv, *flag]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag[0]} is not read by --model {model}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("model,flags", [
+    ("arc1", ["--window", "3", "--maps", "16,16", "--tie-weights"]),
+    ("arc2", ["--window", "3", "--maps", "16", "--twod", "2:16,2:16"]),
+    ("senna", ["--window", "3", "--maps", "16"]),
+])
+def test_model_flags_the_kind_reads_pass_and_default_to_todays_values(synth_dir, tmp_path,
+                                                                      model, flags):
+    argv = ["train", "--model", model, "--train", str(synth_dir / "train.pairs"),
+            "--val", str(synth_dir / "val.pairs"), "--random-embeddings", "--embed-dim", "4",
+            "--max-len", "12", "--hidden", "4", "--epochs", "0", "--quiet"]
+    if model == "arc1":  # --tie-weights is no default: tied and untied both build
+        assert run([*argv, "--out", str(tmp_path / "tied"), *flags]) == 0
+        flags = flags[:-1]
+    assert run([*argv, "--out", str(tmp_path / "flags"), *flags]) == 0
+    assert run([*argv, "--out", str(tmp_path / "none")]) == 0
+    assert (tmp_path / "flags").read_bytes() == (tmp_path / "none").read_bytes()

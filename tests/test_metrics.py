@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from arcmatch.data import RankingInstance, Triple
+from arcmatch.data import RankingInstance
 from arcmatch.errors import DataError
-from arcmatch.metrics import classify_eval, margin_stats, p_at_1, select_threshold
+from arcmatch.metrics import (EvalReport, classify_eval, margin_stats, p_at_1, rank_report,
+                              select_threshold)
 from arcmatch.tensor import make_rng
 
 
@@ -76,14 +77,15 @@ def test_p_at_1_empty_error():
 
 def test_classify_all_correct():
     pairs = [("a", "b", 1), ("c", "d", 0)]
-    report = classify_eval(lambda x, y: 1.0 if x == "a" else -1.0, pairs, 0.0)
+    report = classify_eval([1.0 if x == "a" else -1.0 for x, _, _ in pairs],
+                           [label for _, _, label in pairs], 0.0)
     assert report.value == 1.0
     assert report.extras["f1"] == 1.0
 
 
 def test_classify_majority_baseline_matches_formula():
     pairs = [("x", "y", 1)] * 665 + [("x", "y", 0)] * 335
-    report = classify_eval(lambda x, y: 1.0, pairs, 0.0)
+    report = classify_eval([1.0] * len(pairs), [label for _, _, label in pairs], 0.0)
     assert report.value == pytest.approx(0.665)
     assert report.extras["f1"] == pytest.approx(2 * 0.665 / 1.665, abs=1e-9)
     assert round(report.extras["f1"], 3) == 0.799
@@ -91,7 +93,7 @@ def test_classify_majority_baseline_matches_formula():
 
 def test_classify_no_positive_predictions_f1_zero():
     pairs = [("x", "y", 1), ("x", "y", 0)]
-    report = classify_eval(lambda x, y: -1.0, pairs, 0.0)
+    report = classify_eval([-1.0] * len(pairs), [label for _, _, label in pairs], 0.0)
     assert report.extras["f1"] == 0.0
 
 
@@ -100,7 +102,8 @@ def test_classify_accuracy_is_one_minus_hamming():
     pairs = [(i, i, int(rng.integers(2))) for i in range(200)]
     scores = {i: float(rng.normal()) for i in range(200)}
     threshold = 0.3
-    report = classify_eval(lambda x, y: scores[x], pairs, threshold)
+    report = classify_eval([scores[x] for x, _, _ in pairs],
+                           [label for _, _, label in pairs], threshold)
     wrong = sum(1 for i, _, label in pairs
                 if (scores[i] >= threshold) != bool(label))
     assert report.value == pytest.approx(1 - wrong / 200)
@@ -113,8 +116,9 @@ def test_classify_accuracy_is_one_minus_hamming():
 def test_select_threshold_maximizes_dev_accuracy():
     # separable dev set: scores 0..9, labels 1 for score >= 6
     pairs = [(i, i, int(i >= 6)) for i in range(10)]
-    t = select_threshold(lambda x, y: float(x), pairs)
-    report = classify_eval(lambda x, y: float(x), pairs, t)
+    scores, labels = [float(x) for x, _, _ in pairs], [label for _, _, label in pairs]
+    t = select_threshold(scores, labels)
+    report = classify_eval(scores, labels, t)
     assert report.value == 1.0
 
 
@@ -145,41 +149,20 @@ def test_select_threshold_equals_the_quadratic_scan():
             cases.append([(s, int(s > 0.0)) for s in scores.tolist()])
     for case in cases:
         pairs = [(s, None, label) for s, label in case]
-        got = select_threshold(lambda x, y: x, pairs)
+        got = select_threshold([s for s, _ in case], [label for _, label in case])
         want = _select_threshold_by_scan(lambda x, y: x, pairs)
         assert got == want and np.signbit(got) == np.signbit(want), case
 
 
 def test_margin_stats():
-    triples = [Triple(x=i, y_pos=i, y_neg=i) for i in range(4)]
-    margins = iter([2.0, 0.0, 1.0, -1.0])
-    vals = {}
-
-    def score(x, y):
-        key = (id(x), "pos" if y is x else "neg")
-        return 0.0
-
-    # simpler: deterministic scorer over index parity
-    scores = {(0, "p"): 2.0, (0, "n"): 0.0, (1, "p"): 0.0, (1, "n"): 0.0,
-              (2, "p"): 1.5, (2, "n"): 0.5, (3, "p"): 0.0, (3, "n"): 1.0}
-
-    class T:
-        def __init__(self, i):
-            self.x = i
-            self.y_pos = (i, "p")
-            self.y_neg = (i, "n")
-
-    report = margin_stats(lambda x, y: scores[y], [T(i) for i in range(4)])
+    report = margin_stats([2.0, 0.0, 1.5, 0.0], [0.0, 0.0, 0.5, 1.0])
     # margins: 2.0, 0.0, 1.0, -1.0 -> fraction >= 1 is 0.5
     assert report.value == 0.5
     assert report.extras["margin_mean"] == pytest.approx(0.5)
 
 
 def test_margin_stats_constant_scorer():
-    class T:
-        x = y_pos = y_neg = 0
-
-    report = margin_stats(lambda x, y: 3.0, [T(), T()])
+    report = margin_stats([3.0, 3.0], [3.0, 3.0])
     assert report.extras["margin_mean"] == 0.0
     assert report.value == 0.0
 
@@ -197,10 +180,11 @@ def test_margin_stats_untrained_vs_trained():
         sample_negatives(corpus, 3, "random", table, make_rng(33)), table, 12)
     model = build_wordembed(8, make_rng(34), hidden=(16,))
 
-    def scorer(sx, sy):
-        return model.score(sx, sy)[0]
+    def margins():
+        return ([model.score(t.x, t.y_pos)[0] for t in triples],
+                [model.score(t.x, t.y_neg)[0] for t in triples])
 
-    untrained = margin_stats(scorer, triples)
+    untrained = margin_stats(*margins())
     # untrained: margins hover around zero, roughly symmetric
     assert abs(untrained.extras["margin_mean"]) < 0.5
     assert untrained.value < 0.5  # few margins satisfied by luck
@@ -210,7 +194,7 @@ def test_margin_stats_untrained_vs_trained():
     for _ in range(30):
         for start in range(0, len(triples), 40):
             sgd_step(model, triples[start : start + 40], cfg, rng)
-    trained = margin_stats(scorer, triples)
+    trained = margin_stats(*margins())
     assert trained.value > untrained.value
     assert trained.extras["margin_mean"] > untrained.extras["margin_mean"]
 
@@ -222,3 +206,64 @@ def test_report_render_formats():
     kv = report.kv_lines()
     assert "p_at_1" in text
     assert "value=1.000000" in kv
+
+
+def _p_at_1_by_loop(score_fn, instances):
+    """P@1 as an instance-by-instance loop: one np.delete and max per row."""
+    hits, ties, margins = 0, 0, []
+    for inst in instances:
+        scores = np.array([score_fn(inst.x, c) for c in inst.candidates])
+        margin = scores[inst.answer] - np.delete(scores, inst.answer).max()
+        margins.append(margin)
+        if margin > 0.0:
+            hits += 1
+        elif margin == 0.0:
+            ties += 1
+    margins = np.array(margins)
+    return EvalReport("p_at_1", hits / len(instances), len(instances),
+                      {"top_ties": ties, "margin_mean": float(margins.mean()),
+                       "margin_median": float(np.median(margins))})
+
+
+def test_rank_report_equals_the_loop_bit_for_bit():
+    rng = make_rng(4)
+    for n, width, levels in ((1, 2, None), (7, 5, 3), (200, 10, None), (333, 4, 2)):
+        scores = rng.normal(size=(n, width)) if levels is None else (
+            rng.integers(levels, size=(n, width)) / 3.0)  # few levels: many ties
+        answers = rng.integers(width, size=n)
+        instances = [RankingInstance(i, list(range(width)), int(a))
+                     for i, a in enumerate(answers)]
+        want = _p_at_1_by_loop(lambda x, c: scores[x, c], instances)
+        for got in (rank_report(scores, answers),
+                    p_at_1(lambda x, c: scores[x, c], instances)):
+            assert got == want and got.kv_lines() == want.kv_lines()
+            assert type(got.extras["top_ties"]) is int
+        if levels is not None:
+            assert 0 < want.extras["top_ties"] < n
+
+
+def test_p_at_1_pads_ragged_candidate_lists():
+    rng = make_rng(5)
+    instances = [RankingInstance(i, list(range(width)), int(rng.integers(width)))
+                 for i, width in enumerate((2, 5, 3, 5, 4))]
+    scores = rng.normal(size=(5, 5))
+    want = _p_at_1_by_loop(lambda x, c: scores[x, c], instances)
+    assert p_at_1(lambda x, c: scores[x, c], instances) == want
+
+
+def test_empty_score_arrays_are_data_errors():
+    for call in (lambda: rank_report(np.empty((0, 5)), []),
+                 lambda: classify_eval([], [], 0.0),
+                 lambda: select_threshold([], []),
+                 lambda: margin_stats([], [])):
+        with pytest.raises(DataError):
+            call()
+
+
+def test_an_instance_of_one_candidate_is_a_data_error():
+    # its margin over no other candidate would read as a sure hit
+    with pytest.raises(DataError, match="2 or more candidates"):
+        rank_report(np.zeros((3, 1)), [0, 0, 0])
+    ragged = [RankingInstance(0, [0, 1], 1), RankingInstance(1, [0], 0)]
+    with pytest.raises(DataError, match="2 or more candidates"):
+        p_at_1(lambda x, c: float(c), ragged)
