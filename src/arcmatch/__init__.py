@@ -20,13 +20,13 @@ _EXPORTS = {
     "checkpoint": "load_checkpoint save_checkpoint",
     "conv_sentence": "SentenceModelConfig SentenceModelParams conv1d_gated encode "
                      "encode_backward init_sentence_params maxpool1d",
-    "data": "PairCorpus RankingInstance Triple bag_overlap_score encode_instances "
-            "encode_triples gen_synthetic_corpus load_pairs load_triples "
-            "make_eval_instances sample_negatives save_pairs save_triples",
+    "data": "PairCorpus RankingInstance Triple encode_instances encode_triples "
+            "gen_synthetic_corpus load_pairs make_eval_instances sample_negatives "
+            "save_pairs",
     "embeddings": "EmbeddingTable EncodedSentence Vocabulary encode_sentence "
                   "load_embeddings random_embeddings tokenize",
     "metrics": "EvalReport classify_eval margin_stats p_at_1 rank_report",
-    "tensor": "activate finite_diff init_uniform make_rng",
+    "tensor": "activate init_uniform make_rng",
     "training": "TrainConfig TrainHistory gradient_check hinge_loss score_instances sgd_step "
                 "train",
 }

@@ -115,8 +115,8 @@ class PairLayerTrace:
     """The first layer's trace, held at pooled resolution.
 
     Each side keeps its sentence's own leading shape. Cell (i, j) is live
-    when x window i or y window j is not all zero. The full-resolution
-    pre, gate and conv_out are rebuilt on each access.
+    when x window i or y window j is not all zero; its pre-activation is
+    px[i] + py[j]. No full-resolution grid is kept.
     """
     seg_x: np.ndarray       # [..., n, k1*D]
     seg_y: np.ndarray
@@ -126,20 +126,6 @@ class PairLayerTrace:
     live_y: np.ndarray
     activation: str
     pool_out: np.ndarray    # [..., ceil(n/2), ceil(n/2), F]
-
-    @property
-    def pre(self) -> np.ndarray:
-        return _grid_sum(self.px, self.py)
-
-    @property
-    def gate(self) -> np.ndarray:
-        return _grid_or(self.live_x, self.live_y).astype(np.float64)
-
-    @property
-    def conv_out(self) -> np.ndarray:
-        out = activate(self.pre, self.activation)
-        out[self.gate == 0.0] = 0.0
-        return out
 
 
 @dataclass
@@ -227,10 +213,9 @@ class Arc2Model:
         )
         trace = Arc2Trace(layers=[first])
         for (k, _), (w, b) in zip(cfg.twod_layers, self.params.twod):
-            out, gate, pre, seg = conv2d_gated(z, w, b, k, cfg.activation)
+            out, _, seg = conv2d_gated(z, w, b, k, cfg.activation)
             z = maxpool2d(out)
-            trace.layers.append(ConvLayerTrace(nd=2, seg=seg, pre=pre, gate=gate,
-                                               conv_out=out, pool_out=z))
+            trace.layers.append(ConvLayerTrace(nd=2, seg=seg, conv_out=out, pool_out=z))
         # row-major: i outer, j middle, channel inner
         flat = z.reshape(*z.shape[:-3], -1)
         s, head_trace = head_forward(self.head, flat, masks)

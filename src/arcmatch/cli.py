@@ -230,6 +230,17 @@ def _note_truncated(stats, length, file=None) -> None:
               file=file)
 
 
+def _note_sampling(stats) -> None:
+    """On stderr, the hard negatives that fell back and the shuffled ones
+    that were skipped (in eval, each skip drops its instance)."""
+    if stats.hard_negative_fallbacks:
+        print(f"note: {stats.hard_negative_fallbacks}/{stats.hard_negatives} hard negatives "
+              f"fell back to the closest to {sum(dp.HARD_BAND) / 2:g}", file=sys.stderr)
+    if stats.shuffle_skipped:
+        print(f"note: {stats.shuffle_skipped} shuffle negatives skipped: y+ has no new "
+              f"order of its tokens", file=sys.stderr)
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -297,6 +308,7 @@ def cmd_train(args) -> int:
     best = history.best
     if best is not None:
         print(f"best val_p1 {best[3]:.4f} at batch {best[1]}")
+    _note_sampling(stats)
     _note_truncated(stats, f"--max-len {args.max_len}")
     print(f"checkpoint written to {args.out}")
     return 0
@@ -330,6 +342,7 @@ def cmd_eval(args) -> int:
     print(report.table())
     print()
     print(report.kv_lines())
+    _note_sampling(stats)
     _note_truncated(stats, f"max_len {max_len}", sys.stderr)
     return 0
 

@@ -102,8 +102,6 @@ class ConvLayerTrace:
 
     nd: int                 # spatial axes: 1 for a sentence, 2 for a grid
     seg: np.ndarray         # input windows [..., *n, k**nd * F_in]
-    pre: np.ndarray         # affine pre-activation [..., *n, F_out]
-    gate: np.ndarray        # 0/1 per location [..., *n]
     conv_out: np.ndarray    # gated activation [..., *n, F_out]
     pool_out: np.ndarray    # [..., *ceil(n/2), F_out], or [..., 1, F_out]
     whole: bool = False     # pooled over the whole sentence, not in pairs
@@ -186,15 +184,15 @@ def gated_conv(z: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
     """Gated convolution on the k-per-axis windows of z [..., *n, F_in].
 
     Returns (output [..., *(n-k+1), F_out], gate bits [..., *(n-k+1)],
-    pre-activation, input windows). The gate is 0 exactly when the window
-    is all-zero, and it multiplies the activated output, so gated
-    locations are exactly zero regardless of the bias.
+    input windows [..., *(n-k+1), k**nd * F_in]). The gate is 0 exactly
+    when the window is all-zero, and it multiplies the activated output,
+    so gated locations are exactly zero regardless of the bias.
     """
     pre, live, seg = conv_pre(z, w, b, k, nd)
     gate = live.astype(np.float64)
     out = activate(pre, activation)
     out *= gate[..., None]
-    return out, gate, pre, seg
+    return out, gate, seg
 
 
 def pad_pairs(z: np.ndarray, nd: int, fill: float) -> np.ndarray:
@@ -303,10 +301,9 @@ def encode(sent, params: SentenceModelParams, config: SentenceModelConfig):
     trace = LayerTrace()
     z = x
     for (w, b), k in zip(params.layers, config.windows):
-        conv_out, gate, pre, seg = conv1d_gated(z, w, b, k, config.activation)
+        conv_out, _, seg = conv1d_gated(z, w, b, k, config.activation)
         z = conv_out.max(axis=-2, keepdims=True) if config.global_pool else maxpool1d(conv_out)
-        trace.layers.append(ConvLayerTrace(nd=1, seg=seg, pre=pre, gate=gate,
-                                           conv_out=conv_out, pool_out=z,
+        trace.layers.append(ConvLayerTrace(nd=1, seg=seg, conv_out=conv_out, pool_out=z,
                                            whole=config.global_pool))
     trace.top_shape = z.shape
     # padding rows are zero, so they add nothing to the sum

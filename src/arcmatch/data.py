@@ -90,18 +90,6 @@ def save_pairs(corpus: PairCorpus, path: str) -> None:
             fh.write(" ".join(x) + "\t" + " ".join(y) + "\n")
 
 
-def load_triples(source) -> list:
-    """One triple per line: x-tokens TAB y+-tokens TAB y--tokens."""
-    return [Triple(*row) for row in read_rows(source, 3, "triple")[1]]
-
-
-def save_triples(triples, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            fh.write(" ".join(t.x) + "\t" + " ".join(t.y_pos) + "\t"
-                     + " ".join(t.y_neg) + "\n")
-
-
 def _sumvec(tokens, table: EmbeddingTable) -> np.ndarray:
     return table.vectors[table.vocab.indices(tokens)].sum(axis=0)
 
@@ -412,8 +400,3 @@ def gen_synthetic_corpus(n_pairs: int, vocab_size: int, len_range, n_topics: int
     corpus = PairCorpus(pairs=pairs,
                         provenance=f"synthetic({n_pairs} pairs, {n_topics} topics)")
     return corpus, tokens
-
-
-def bag_overlap_score(x_tokens, y_tokens) -> float:
-    """Order-blind sanity scorer: size of the shared token set."""
-    return float(len(set(x_tokens) & set(y_tokens)))

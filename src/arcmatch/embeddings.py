@@ -31,12 +31,8 @@ class Vocabulary:
         self.index_to_token.append(token)
         return idx
 
-    def index(self, token: str) -> int:
-        """Index of token, or 0 (<unk>) when absent."""
-        return self.token_to_index.get(token, 0)
-
     def indices(self, tokens) -> list[int]:
-        """index() of each token."""
+        """The index of each token, 0 (<unk>) for one that is absent."""
         return list(map(self.token_to_index.get, tokens, itertools.repeat(0)))
 
     def __contains__(self, token: str) -> bool:
@@ -53,9 +49,6 @@ class EmbeddingTable:
     vocab: Vocabulary
     dim: int
     vectors: np.ndarray  # [len(vocab), dim]
-
-    def row(self, token: str) -> np.ndarray:
-        return self.vectors[self.vocab.index(token)]
 
 
 @dataclass

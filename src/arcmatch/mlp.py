@@ -33,7 +33,6 @@ class MlpHead:
 class HeadTrace:
     inputs: list   # input [..., width] to each layer (post-dropout for hidden ones)
     outputs: list  # pre-dropout hidden activations
-    pres: list     # hidden pre-activations
     masks: list | None
 
 
@@ -101,14 +100,13 @@ def head_forward(head: MlpHead, v: np.ndarray, masks=None,
         raise ShapeError(
             f"head expects input width {head.input_width}, got {v.shape[-1]}"
         )
-    inputs, outputs, pres = [], [], []
+    inputs, outputs = [], []
     h = v
     n_hidden = len(head.weights) - 1
     for li in range(n_hidden):
         inputs.append(h)
         pre = _affine(head.weights[li], head.biases[li], h,
                       split if li == 0 else None)
-        pres.append(pre)
         a = activate(pre, head.activation)
         outputs.append(a)
         h = a * masks[li] if masks is not None else a
@@ -116,7 +114,7 @@ def head_forward(head: MlpHead, v: np.ndarray, masks=None,
     final = _affine(head.weights[-1], head.biases[-1], h,
                     split if n_hidden == 0 else None)[..., 0]
     score = final.item() if final.ndim == 0 else final
-    return score, HeadTrace(inputs=inputs, outputs=outputs, pres=pres, masks=masks)
+    return score, HeadTrace(inputs=inputs, outputs=outputs, masks=masks)
 
 
 def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -103,16 +103,13 @@ def init_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> 
     return rng.uniform(-r, r, size=shape)
 
 
-def finite_diff(f, theta: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector:
-    (f(theta + eps*e_i) - f(theta - eps*e_i)) / (2*eps) per coordinate."""
-    return finite_diff_gap(f, theta, eps)[0]
-
-
 def finite_diff_gap(f, theta: np.ndarray, eps: float):
-    """(central differences, |forward - backward difference|) per coordinate.
+    """(central differences, |forward - backward difference|) per coordinate
+    of a scalar function f of a flat vector.
 
-    The gap is |f(theta + eps*e_i) - 2 f(theta) + f(theta - eps*e_i)| / eps.
+    The central difference is (f(theta + eps*e_i) - f(theta - eps*e_i)) /
+    (2*eps), and the gap is |f(theta + eps*e_i) - 2 f(theta) +
+    f(theta - eps*e_i)| / eps.
     For f linear along e_i it is rounding. For f piecewise linear along e_i
     with one kink at distance d < eps from theta, it is the jump in slope
     times (eps - d) / eps, and half of it is exactly the central
@@ -124,7 +121,7 @@ def finite_diff_gap(f, theta: np.ndarray, eps: float):
     theta = np.asarray(theta, dtype=np.float64)
     f0 = float(f(theta))
     if not np.isfinite(f0):
-        raise NumericError("finite_diff: non-finite evaluation at theta")
+        raise NumericError("finite_diff_gap: non-finite evaluation at theta")
     fp = np.empty_like(theta)
     fm = np.empty_like(theta)
     for i in range(theta.size):
@@ -135,5 +132,5 @@ def finite_diff_gap(f, theta: np.ndarray, eps: float):
         fp[i] = float(f(tp))
         fm[i] = float(f(tm))
         if not (np.isfinite(fp[i]) and np.isfinite(fm[i])):
-            raise NumericError(f"finite_diff: non-finite evaluation at coordinate {i}")
+            raise NumericError(f"finite_diff_gap: non-finite evaluation at coordinate {i}")
     return (fp - fm) / (2.0 * eps), np.abs(fp - 2.0 * f0 + fm) / eps

@@ -14,6 +14,10 @@ def small_table(dim=4, n_tokens=15, seed=5):
     return random_embeddings([f"w{i}" for i in range(n_tokens)], dim, make_rng(seed))
 
 
+def table_row(table, token):
+    return table.vectors[table.vocab.indices([token])[0]]
+
+
 def random_sentence(table, max_len, rng, min_len=2, max_tokens=None):
     hi = max_tokens if max_tokens is not None else max_len
     length = int(rng.integers(min_len, hi + 1))

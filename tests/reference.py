@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from arcmatch.errors import DataError
+from arcmatch.tensor import activate
 
 
 def ref_affine(w, v, b):
@@ -227,6 +228,18 @@ def ref_pair_pool_backward(dz, lt):
     gy = route((win & 1).view(np.bool_), axis=-3)
     n = lt.px.shape[-2]
     return gx[..., :n, :], gy[..., :n, :]
+
+
+def ref_pair_grid(lt):
+    """ARC-II's first layer at full resolution, rebuilt from its pooled
+    trace lt: (pre [..., n, n, F], gate [..., n, n], conv_out [..., n, n,
+    F]). Cell (i, j) has pre px[i] + py[j] and is gated off when neither
+    its x nor its y window is live."""
+    pre = lt.px[..., :, None, :] + lt.py[..., None, :, :]
+    gate = (lt.live_x[..., :, None] | lt.live_y[..., None, :]).astype(np.float64)
+    conv_out = activate(pre, lt.activation)
+    conv_out[gate == 0.0] = 0.0
+    return pre, gate, conv_out
 
 
 def ref_wordembed_score(model, sx, sy):

@@ -15,9 +15,8 @@ from arcmatch.arc2 import build_arc2, embed_arc1_as_arc2
 from arcmatch.baselines import build_wordembed
 from arcmatch.checkpoint import load_checkpoint, save_checkpoint
 from arcmatch.conv_sentence import SentenceModelConfig, encode, init_sentence_params
-from arcmatch.data import (PairCorpus, bag_overlap_score, encode_instances,
-                           encode_triples, gen_synthetic_corpus,
-                           make_eval_instances, sample_negatives)
+from arcmatch.data import (PairCorpus, encode_instances, encode_triples,
+                           gen_synthetic_corpus, make_eval_instances, sample_negatives)
 from arcmatch.embeddings import random_embeddings
 from arcmatch.errors import ConfigError
 from arcmatch.metrics import classify_eval, p_at_1
@@ -25,7 +24,7 @@ from arcmatch.tensor import make_rng
 from arcmatch.training import TrainConfig, gradient_check, hinge_loss, train
 
 from conftest import random_sentence, small_table
-from reference import ref_arc1_score, ref_arc2_score, ref_encode
+from reference import ref_arc1_score, ref_arc2_score, ref_encode, ref_pair_grid
 
 MODEL_KINDS = ("arc1", "arc2", "wordembed", "senmlp", "senna")
 
@@ -155,7 +154,7 @@ def test_criterion_2_padding_hierarchy():
         fx = [i >= sx.length for i in range(n)]   # window i covers i..i+1
         fy = [j >= sy.length for j in range(n)]
         grid_pad = np.array([[fx[i] and fy[j] for j in range(n)] for i in range(n)])
-        assert not trace.layers[0].conv_out[grid_pad].any()
+        assert not ref_pair_grid(trace.layers[0])[2][grid_pad].any()
         # pooled frontier
         padded = np.pad(grid_pad, ((0, n % 2), (0, n % 2)), constant_values=True)
         pool_pad = padded[0::2, 0::2] & padded[0::2, 1::2] & padded[1::2, 0::2] & padded[1::2, 1::2]
@@ -220,7 +219,7 @@ def test_criterion_4_arc1_inside_arc2():
         _, gtrace = grid.score(sx, sy)
         f1 = arc1.config_x.feature_maps[0]
         f2 = arc1.config_x.feature_maps[1]
-        first = gtrace.layers[0].conv_out
+        first = ref_pair_grid(gtrace.layers[0])[2]
         for f in range(first.shape[2]):
             s = np.linalg.svd(first[:, :, f], compute_uv=False)
             worst_rank = max(worst_rank, float(s[1] / max(1.0, s[0])))

@@ -11,10 +11,11 @@ from arcmatch.arc2 import (_pair_pool_backward, build_arc2, conv2d_gated,
 from arcmatch.conv_sentence import encode, maxpool_backward
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector, set_param_vector
-from arcmatch.tensor import activate_grad_from_output, finite_diff, make_rng
+from arcmatch.tensor import activate_grad_from_output, finite_diff_gap, make_rng
 
-from conftest import random_sentence, sentence_from_matrix, small_table
-from reference import ref_arc2_score, ref_arc2_stack, ref_pair_pool_backward
+from conftest import random_sentence, sentence_from_matrix, small_table, table_row
+from reference import (ref_arc2_score, ref_arc2_stack, ref_pair_grid,
+                       ref_pair_pool_backward)
 
 
 def _model(seed=0, **kw):
@@ -28,7 +29,7 @@ def test_interaction_tiny_hand_case():
     sx = sentence_from_matrix(np.array([[1.0], [2.0]]))
     sy = sentence_from_matrix(np.array([[3.0], [4.0]]))
     _, gate, lt = interaction_conv1d(sx, sy, np.array([[1.0, 1.0]]), np.zeros(1), 1)
-    out = lt.conv_out
+    out = ref_pair_grid(lt)[2]
     assert out[:, :, 0].tolist() == [[4.0, 5.0], [5.0, 6.0]]
     assert gate.all()
 
@@ -40,29 +41,29 @@ def test_interaction_shape_14x14():
     sy = random_sentence(table, 16, rng)
     w = np.zeros((5, 2 * 3 * 4))
     _, gate, lt = interaction_conv1d(sx, sy, w, np.zeros(5), 3)
-    out = lt.conv_out
+    out = ref_pair_grid(lt)[2]
     assert out.shape == (14, 14, 5)
 
 
 def test_interaction_gate_pair_semantics():
     # x has 2 real words then padding; y has 4; k1=2 windows
     table = small_table()
-    sx = sentence_from_matrix(np.vstack([table.row("w1"), table.row("w2"),
+    sx = sentence_from_matrix(np.vstack([table_row(table, "w1"), table_row(table, "w2"),
                                          np.zeros(4), np.zeros(4)]))
-    sy = sentence_from_matrix(np.vstack([table.row("w3"), table.row("w4"),
-                                         table.row("w5"), table.row("w6")]))
+    sy = sentence_from_matrix(np.vstack([table_row(table, "w3"), table_row(table, "w4"),
+                                         table_row(table, "w5"), table_row(table, "w6")]))
     w = np.ones((2, 2 * 2 * 4))
     b = np.full(2, 3.0)
     _, gate, lt = interaction_conv1d(sx, sy, w, b, 2, "sigmoid")
-    out = lt.conv_out
+    out = ref_pair_grid(lt)[2]
     # x-window 2 covers rows 2..3: all padding; every y-window has words
     assert gate[2].all()           # one side padding, other not: gate stays on
     assert out[2].all()            # computed normally (sigmoid of bias part)
     # both sides padding cannot happen here since y has no padded window
-    sy_padded = sentence_from_matrix(np.vstack([table.row("w3"), np.zeros(4),
+    sy_padded = sentence_from_matrix(np.vstack([table_row(table, "w3"), np.zeros(4),
                                                 np.zeros(4), np.zeros(4)]))
     _, gate2, lt2 = interaction_conv1d(sx, sy_padded, w, b, 2, "sigmoid")
-    out2 = lt2.conv_out
+    out2 = ref_pair_grid(lt2)[2]
     assert gate2[2, 1] == 0.0      # both segments all-zero
     assert not out2[2, 1].any()    # exactly zero despite bias
     assert gate2[2, 0] == 1.0      # y window 0 still has a word
@@ -95,15 +96,15 @@ def test_maxpool2d_tie_row_major_first():
 
 def test_conv2d_hand_case():
     z = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-    out, gate, _, _ = conv2d_gated(z, np.array([[1.0, 1.0, 1.0, 1.0]]),
-                                   np.zeros(1), 2)
+    out, gate, _ = conv2d_gated(z, np.array([[1.0, 1.0, 1.0, 1.0]]),
+                                np.zeros(1), 2)
     assert out.ravel().tolist() == [10.0]
 
 
 def test_conv2d_shape_law_and_errors():
     z = np.zeros((14, 14, 2))
     w = np.zeros((3, 9 * 2))
-    out, _, _, _ = conv2d_gated(z, w, np.zeros(3), 3)
+    out, _, _ = conv2d_gated(z, w, np.zeros(3), 3)
     assert out.shape == (12, 12, 3)
     with pytest.raises(ShapeError):
         conv2d_gated(np.zeros((2, 2, 1)), np.zeros((1, 9)), np.zeros(1), 3)
@@ -112,8 +113,8 @@ def test_conv2d_shape_law_and_errors():
 def test_conv2d_gate_zero_field():
     z = np.zeros((3, 3, 1))
     z[0, 0, 0] = 1.0
-    out, gate, _, _ = conv2d_gated(z, np.ones((1, 4)), np.full(1, 9.0), 2,
-                                   "sigmoid")
+    out, gate, _ = conv2d_gated(z, np.ones((1, 4)), np.full(1, 9.0), 2,
+                                "sigmoid")
     assert gate[0, 0] == 1.0 and gate[1, 1] == 0.0
     assert not out[1, 1].any()
 
@@ -138,7 +139,7 @@ def test_padding_only_grid_region_stays_zero():
     sx = random_sentence(table, 12, rng, max_tokens=5)
     sy = random_sentence(table, 12, rng, max_tokens=5)
     _, trace = model.score(sx, sy)
-    grid = trace.layers[0].conv_out
+    grid = ref_pair_grid(trace.layers[0])[2]
     fx = sx.length  # first x-window made purely of padding
     fy = sy.length
     assert not grid[fx:, fy:, :].any()
@@ -161,7 +162,7 @@ def test_backward_matches_finite_differences():
             set_param_vector(model, theta)
             return model.score(sx, sy)[0]
 
-        numeric = finite_diff(score_at, theta0, 1e-5)
+        numeric = finite_diff_gap(score_at, theta0, 1e-5)[0]
         set_param_vector(model, theta0)
         live = np.abs(analytic) + np.abs(numeric) >= 1e-8
         denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
@@ -206,7 +207,7 @@ def _int_layer(rng, k1, dim=2, maps=3):
 def _loop_pair_pool_backward(lt, dz):
     """Oracle: walk each 2x2 block of the full gated grid and route its
     gradient to the first maximum in row-major block order."""
-    out = lt.conv_out
+    out = ref_pair_grid(lt)[2]
     n = out.shape[0]
     gx, gy = np.zeros(lt.px.shape), np.zeros(lt.py.shape)
     for bi, bj, c in np.ndindex(dz.shape):
@@ -236,8 +237,9 @@ def test_pooled_first_layer_equals_maxpool_of_the_grid(activation, max_len):
             x[rng.integers(max_len // 2, max_len):] = 0.0
             y[rng.integers(max_len // 2, max_len):] = 0.0
         pooled, gate, lt = interaction_conv1d(x, y, w, b, k1, activation)
-        assert np.array_equal(pooled, maxpool2d(lt.conv_out))
-        assert np.array_equal(gate, lt.gate)
+        _, grid_gate, grid = ref_pair_grid(lt)
+        assert np.array_equal(pooled, maxpool2d(grid))
+        assert np.array_equal(gate, grid_gate)
         gated += not gate.all()
     assert gated >= 5
 
@@ -257,7 +259,7 @@ def test_pooled_first_layer_backward_routes_to_first_row_major_max(activation):
         gx, gy = _pair_pool_backward(dz, lt)
         want_x, want_y = _loop_pair_pool_backward(lt, dz)
         assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y), trial
-        grid = np.pad(lt.conv_out, ((0, lt.px.shape[0] % 2),) * 2 + ((0, 0),))
+        grid = np.pad(ref_pair_grid(lt)[2], ((0, lt.px.shape[0] % 2),) * 2 + ((0, 0),))
         blocks = np.stack([grid[di::2, dj::2] for di in (0, 1) for dj in (0, 1)])
         ties += int(((blocks == pooled).sum(axis=0) > 1)[pooled > 0].sum())
         gated += not gate.all()
@@ -408,8 +410,8 @@ def test_stacked_trace_and_backward_hold_no_full_grid():
     assert not any(full_grid(a) for a in _arrays(trace))
     _, made = _arrays_made_during(lambda: model.backward(trace, np.ones(scores.shape)))
     assert made and not any(full_grid(a) for a in made)
-    # the trace still rebuilds the full grid when asked
-    assert trace.layers[0].conv_out.shape == (2, 3, n, n, f)
+    # the trace still holds what rebuilds the full grid
+    assert ref_pair_grid(trace.layers[0])[2].shape == (2, 3, n, n, f)
 
 
 # --- order preservation ------------------------------------------------------
@@ -462,12 +464,14 @@ def test_order_preservation_perturbation_confined_to_covering_cells():
         sx2 = sentence_from_matrix(sx.x.copy())
         sx2.x[p] = rng.normal(size=4)
         _, pert = model.score(sx2, sy)
-        # conv layers of the trace: layers[li].conv_out, layer index in the
-        # static table is 2*li (conv) and 2*li+1 (pool)
+        # conv layers of the trace: layers[li].conv_out (the rebuilt grid for
+        # li = 0), layer index in the static table is 2*li (conv) and 2*li+1
+        # (pool)
         for li, (lt_base, lt_pert) in enumerate(zip(base.layers, pert.layers)):
             conv_ranges = ranges[2 * li]
-            changed = np.nonzero(
-                np.any(lt_base.conv_out != lt_pert.conv_out, axis=(1, 2)))[0]
+            conv_base, conv_pert = ((ref_pair_grid(lt_base)[2], ref_pair_grid(lt_pert)[2])
+                                    if li == 0 else (lt_base.conv_out, lt_pert.conv_out))
+            changed = np.nonzero(np.any(conv_base != conv_pert, axis=(1, 2)))[0]
             for i in changed:
                 a, b = conv_ranges[i]
                 assert a <= p <= b, (li, i, p)
@@ -489,7 +493,7 @@ def test_embedding_construction_rank_one_maps():
     sx = random_sentence(table, 12, rng, min_len=12)
     sy = random_sentence(table, 12, rng, min_len=12)
     _, trace = grid.score(sx, sy)
-    first = trace.layers[0].conv_out  # [n, n, 2*F1]
+    first = ref_pair_grid(trace.layers[0])[2]  # [n, n, 2*F1]
     f1 = arc1.config_x.feature_maps[0]
     for f in range(first.shape[2]):
         m = first[:, :, f]
@@ -555,7 +559,7 @@ def test_embedding_construction_gate_caveat_documented_by_test():
     _, gtrace = grid.score(sx, sy)
     _, xtrace = encode(sx, arc1.params_x, arc1.config_x)
     f1 = arc1.config_x.feature_maps[0]
-    grid_first = gtrace.layers[0].conv_out[:, 0, :f1]
+    grid_first = ref_pair_grid(gtrace.layers[0])[2][:, 0, :f1]
     arc1_first = xtrace.layers[0].conv_out
     assert np.max(np.abs(grid_first - arc1_first)) > 1e-3
 

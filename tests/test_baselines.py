@@ -8,7 +8,7 @@ from arcmatch.embeddings import encode_sentence
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.tensor import make_rng
 
-from conftest import random_sentence, sentence_from_matrix, small_table
+from conftest import random_sentence, sentence_from_matrix, small_table, table_row
 from reference import ref_senmlp_score, ref_wordembed_score
 
 
@@ -30,7 +30,7 @@ def test_wordembed_repeated_word_sums():
     table = small_table()
     model = build_wordembed(4, make_rng(3), hidden=(5,))
     s3 = encode_sentence(["w2"] * 3, table, 8)
-    assert np.allclose(s3.x.sum(axis=0), 3 * table.row("w2"))
+    assert np.allclose(s3.x.sum(axis=0), 3 * table_row(table, "w2"))
 
 
 def test_wordembed_matches_loop_oracle():

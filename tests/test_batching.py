@@ -27,6 +27,7 @@ from arcmatch import training
 from arcmatch.training import TrainConfig, hinge_loss, score_instances, sgd_step
 
 from conftest import random_sentence, small_table
+from reference import ref_pair_grid
 
 MAX_LEN = 9  # ARC-II window 3 gives an odd grid side of 7
 
@@ -65,13 +66,13 @@ def test_conv1d_and_maxpool1d_stacked_equal_per_item():
     z[0, 1, 4:] = 0.0  # padding rows exercise the gate
     w, b = rng.normal(size=(4, 15)), rng.normal(size=4)
     for activation in ("relu", "sigmoid"):
-        out, gate, pre, seg = conv1d_gated(z, w, b, 3, activation)
+        out, gate, seg = conv1d_gated(z, w, b, 3, activation)
         pooled = maxpool1d(out)
         dz = rng.normal(size=pooled.shape)
         routed = maxpool_backward(dz, out)
         for i in np.ndindex(z.shape[:2]):
-            o1, g1, p1, s1 = conv1d_gated(z[i], w, b, 3, activation)
-            assert _same(out[i], o1) and _same(gate[i], g1) and _same(pre[i], p1)
+            o1, g1, s1 = conv1d_gated(z[i], w, b, 3, activation)
+            assert _same(out[i], o1) and _same(gate[i], g1)
             assert _same(seg[i], s1)
             q1 = maxpool1d(o1)  # length 5: odd, zero-padded
             assert _same(pooled[i], q1) and _same(routed[i], maxpool_backward(dz[i], o1))
@@ -85,12 +86,12 @@ def test_interaction_conv1d_broadcasts_x_against_stacked_y():
     w, b = rng.normal(size=(5, 2 * 3 * 4)), rng.normal(size=5)
     pooled, gate, lt = interaction_conv1d(
         _stack(xs), np.stack([_stack(row) for row in ys]), w, b, 3, "relu")
-    out, pre, seg_x, seg_y = lt.conv_out, lt.pre, lt.seg_x, lt.seg_y
+    (pre, _, out), seg_x, seg_y = ref_pair_grid(lt), lt.seg_x, lt.seg_y
     assert out.shape == (2, 3, 7, 7, 5) and seg_x.shape == (3, 7, 12)
     for s in range(2):
         for c in range(3):
             q1, g1, lt1 = interaction_conv1d(xs[c], ys[s][c], w, b, 3, "relu")
-            o1, p1, sx1, sy1 = lt1.conv_out, lt1.pre, lt1.seg_x, lt1.seg_y
+            (p1, _, o1), sx1, sy1 = ref_pair_grid(lt1), lt1.seg_x, lt1.seg_y
             assert _same(out[s, c], o1) and _same(gate[s, c], g1)
             assert _same(pre[s, c], p1)
             assert _same(seg_x[c], sx1) and _same(seg_y[s, c], sy1)
@@ -102,12 +103,12 @@ def test_conv2d_gated_stacked_equal_per_item():
     z = np.maximum(rng.normal(size=(2, 3, 5, 6, 3)), 0.0)
     z[1, 2, 2:, 3:] = 0.0  # an all-zero field gates off
     w, b = rng.normal(size=(4, 2 * 2 * 3)), rng.normal(size=4)
-    out, gate, pre, seg = conv2d_gated(z, w, b, 2, "relu")
+    out, gate, seg = conv2d_gated(z, w, b, 2, "relu")
     assert not gate.all()
     for i in np.ndindex(z.shape[:2]):
-        o1, g1, p1, s1 = conv2d_gated(z[i], w, b, 2, "relu")
+        o1, g1, s1 = conv2d_gated(z[i], w, b, 2, "relu")
         assert _same(out[i], o1) and _same(gate[i], g1)
-        assert _same(pre[i], p1) and _same(seg[i], s1)
+        assert _same(seg[i], s1)
 
 
 def test_maxpool2d_stacked_odd_extents_and_ties_equal_per_item():
@@ -145,7 +146,7 @@ def test_head_forward_stacked_equal_per_item():
             for c in range(3):
                 s1, t1 = head_forward(head, v[s, c], [m[c] for m in masks], split=split)
                 assert isinstance(s1, float) and scores[s, c] == s1
-                for a, a1 in zip(trace.pres, t1.pres):
+                for a, a1 in zip(trace.outputs, t1.outputs):
                     assert _same(a[s, c], a1)
 
 

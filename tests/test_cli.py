@@ -800,6 +800,68 @@ def test_eval_and_score_report_truncation_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _with_unshuffleable_ys(src, path):
+    """src's pairs plus two whose y has no second order of its tokens."""
+    path.write_text(src.read_text() + "t0w1 t0w2\tr0w1\nt0w3\tr0w2 r0w2\n")
+    return path
+
+
+@pytest.mark.parametrize("neg_mode", ["hard", "shuffle"])
+def test_eval_reports_sampling_fallbacks_and_skips_on_stderr(trained, synth_dir, tmp_path,
+                                                            capsys, neg_mode):
+    from arcmatch.data import make_eval_instances
+    from arcmatch.embeddings import RunStats, load_embeddings
+    from arcmatch.tensor import make_rng
+
+    data = _with_unshuffleable_ys(synth_dir / "test.pairs", tmp_path / "p.pairs")
+    embeddings = str(trained) + ".embeddings.txt"
+    argv = ["eval", "--checkpoint", str(trained), "--data", str(data),
+            "--embeddings", embeddings, "--negatives", "6", "--seed", "5"]
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert run([*argv, "--neg-mode", neg_mode]) == 0
+    out = capsys.readouterr()
+    assert plain.err == "" and out.out.startswith("metric")
+    with open(embeddings, encoding="utf-8") as fh:
+        table = load_embeddings(fh)
+    with open(data, encoding="utf-8") as fh:
+        corpus = load_pairs(fh)
+    stats = RunStats()
+    make_eval_instances(corpus, 6, neg_mode, table, make_rng(5), stats)
+    if neg_mode == "hard":
+        assert 0 < stats.hard_negative_fallbacks <= stats.hard_negatives
+        assert out.err == (f"note: {stats.hard_negative_fallbacks}/{stats.hard_negatives} "
+                           f"hard negatives fell back to the closest to 0.75\n")
+    else:
+        assert stats.shuffle_skipped == 2
+        assert out.err == "note: 2 shuffle negatives skipped: y+ has no new order of its tokens\n"
+
+
+def test_train_reports_shuffle_skips_on_stderr_and_keeps_stdout(synth_dir, tmp_path, capsys):
+    from arcmatch.data import make_eval_instances, sample_negatives
+    from arcmatch.embeddings import RunStats
+    from arcmatch.tensor import make_rng
+
+    argv = _train_args(synth_dir, tmp_path, "--neg-mode", "shuffle", "--epochs", "1",
+                       "--train-negatives", "2", "--seed", "4")
+    train_file = synth_dir / "train.pairs"
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    argv[argv.index("--train") + 1] = str(_with_unshuffleable_ys(train_file,
+                                                                 tmp_path / "t.pairs"))
+    assert run(argv) == 0
+    out = capsys.readouterr()
+    assert plain.err == "" and "note" not in out.out
+    # train draws the training triples, then the validation instances
+    stats, rng = RunStats(), make_rng(4)
+    with open(tmp_path / "t.pairs", encoding="utf-8") as fh:
+        sample_negatives(load_pairs(fh), 2, "shuffle", None, rng, stats)
+    with open(synth_dir / "val.pairs", encoding="utf-8") as fh:
+        make_eval_instances(load_pairs(fh), 4, "shuffle", None, rng, stats)
+    assert stats.shuffle_skipped == 4
+    assert out.err == "note: 4 shuffle negatives skipped: y+ has no new order of its tokens\n"
+
+
 @pytest.mark.parametrize("model,flag", [
     ("arc2", ["--tie-weights"]), ("senna", ["--tie-weights"]), ("wordembed", ["--tie-weights"]),
     ("arc1", ["--twod", "2:8"]), ("senna", ["--twod", "2:8"]), ("senmlp", ["--twod", "2:8"]),

@@ -9,7 +9,7 @@ from arcmatch.conv_sentence import (SentenceModelConfig, conv1d_gated, encode,
                                     maxpool1d, maxpool_backward)
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector
-from arcmatch.tensor import finite_diff, make_rng
+from arcmatch.tensor import finite_diff_gap, make_rng
 
 from conftest import random_sentence, sentence_from_matrix, small_table
 from reference import ref_encode, ref_layer_lengths, ref_maxpool1d, ref_maxpool2d
@@ -17,14 +17,14 @@ from reference import ref_encode, ref_layer_lengths, ref_maxpool1d, ref_maxpool2
 
 def test_conv_hand_case_sum_window():
     z = np.array([[1.0], [2.0], [3.0]])
-    out, gate, _, _ = conv1d_gated(z, np.array([[1.0, 1.0]]), np.zeros(1), 2)
+    out, gate, _ = conv1d_gated(z, np.array([[1.0, 1.0]]), np.zeros(1), 2)
     assert out.tolist() == [[3.0], [5.0]]
     assert gate.tolist() == [1.0, 1.0]
 
 
 def test_conv_hand_case_relu_clips():
     z = np.array([[1.0], [2.0], [3.0]])
-    out, _, _, _ = conv1d_gated(z, np.array([[1.0, -1.0]]), np.zeros(1), 2)
+    out, _, _ = conv1d_gated(z, np.array([[1.0, -1.0]]), np.zeros(1), 2)
     assert out.tolist() == [[0.0], [0.0]]
 
 
@@ -34,7 +34,7 @@ def test_conv_gate_zeroes_output_despite_bias():
     z[1] = [0.5, 0.0]  # rows 2..3 are padding
     w = np.ones((3, 4))
     b = np.full(3, 5.0)
-    out, gate, _, _ = conv1d_gated(z, w, b, 2, "sigmoid")
+    out, gate, _ = conv1d_gated(z, w, b, 2, "sigmoid")
     assert gate.tolist() == [1.0, 1.0, 0.0]
     assert not out[2].any()  # all-zero window: exactly zero, bias ignored
     assert out[1].all()      # half-padding window still computes
@@ -293,7 +293,7 @@ def test_encode_backward_matches_finite_differences():
 
         theta0 = np.concatenate(
             [np.concatenate([w.ravel(), b.ravel()]) for w, b in params.layers])
-        numeric = finite_diff(loss_at, theta0, 1e-5)
+        numeric = finite_diff_gap(loss_at, theta0, 1e-5)[0]
         live = np.abs(flat_analytic) + np.abs(numeric) >= 1e-8
         denom = np.maximum(1e-8, np.abs(flat_analytic) + np.abs(numeric))
         rel = np.abs(flat_analytic - numeric) / denom
@@ -304,7 +304,7 @@ def test_encode_backward_matches_finite_differences():
             s2 = sentence_from_matrix(flat_x.reshape(sent.x.shape))
             return _encode_loss(s2, params, cfg, upstream)
 
-        numeric_dx = finite_diff(loss_at_x, sent.x.ravel(), 1e-5)
+        numeric_dx = finite_diff_gap(loss_at_x, sent.x.ravel(), 1e-5)[0]
         live = np.abs(dx.ravel()) + np.abs(numeric_dx) >= 1e-8
         denom = np.maximum(1e-8, np.abs(dx.ravel()) + np.abs(numeric_dx))
         assert (np.abs(dx.ravel() - numeric_dx) / denom)[live].max() < 1e-4
@@ -347,7 +347,7 @@ def test_gated_off_units_contribute_no_gradient():
                                    theta[w2.size :])])
         return _encode_loss(sent, p2, cfg, upstream)
 
-    numeric = finite_diff(loss_at, np.concatenate([w2.ravel(), b2.ravel()]), 1e-5)
+    numeric = finite_diff_gap(loss_at, np.concatenate([w2.ravel(), b2.ravel()]), 1e-5)[0]
     assert np.abs(numeric).max() < 1e-8
 
 

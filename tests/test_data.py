@@ -7,13 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arcmatch.data import (HARD_BAND, PairCorpus, bag_overlap_score,
-                           gen_synthetic_corpus, load_pairs,
+from arcmatch.data import (HARD_BAND, PairCorpus, gen_synthetic_corpus, load_pairs,
                            make_eval_instances, sample_negatives)
 from arcmatch.embeddings import RunStats, open_text, random_embeddings
 from arcmatch.errors import ConfigError, DataError, ParseError
 from arcmatch.metrics import p_at_1
 from arcmatch.tensor import make_rng
+
+from conftest import table_row
 
 
 def test_load_pairs_basic():
@@ -46,21 +47,6 @@ def test_load_pairs_counts_lines():
 def test_load_pairs_empty_side_is_error():
     with pytest.raises(ParseError):
         load_pairs(io.StringIO("a \t\n"))
-
-
-def test_triple_file_round_trip(tmp_path):
-    from arcmatch.data import Triple, load_triples, save_triples
-
-    triples = [Triple(x=["a", "b"], y_pos=["c"], y_neg=["d", "e"]),
-               Triple(x=["f"], y_pos=["g", "h"], y_neg=["i"])]
-    path = tmp_path / "t.tsv"
-    save_triples(triples, path)
-    with open(path, encoding="utf-8") as fh:
-        back = load_triples(fh)
-    assert back == triples
-    with pytest.raises(ParseError) as err:
-        load_triples(io.StringIO("a\tb\n"))
-    assert err.value.line == 1
 
 
 def _corpus(n=30, seed=0):
@@ -111,7 +97,7 @@ def test_hard_negatives_band_recomputed_independently():
         def vec(tokens):
             v = np.zeros(8)
             for tok in tokens:
-                v += table.vectors[table.vocab.index(tok)]
+                v += table_row(table, tok)
             return v
 
         u, v = vec(t.y_pos), vec(t.y_neg)
@@ -203,14 +189,19 @@ def test_synthetic_too_small_vocab_is_config_error():
         gen_synthetic_corpus(10, 300, (7, 12), 1, make_rng(0))
 
 
+def _bag_overlap_score(x_tokens, y_tokens) -> float:
+    """Order-blind sanity scorer: size of the shared token set."""
+    return float(len(set(x_tokens) & set(y_tokens)))
+
+
 def test_bag_overlap_separates_random_but_not_shuffle():
     rng = make_rng(17)
     corpus, _ = gen_synthetic_corpus(400, 400, (7, 12), 10, rng)
     random_inst = make_eval_instances(corpus, 4, "random", None, make_rng(18))
     shuffle_inst = make_eval_instances(corpus, 4, "shuffle", None, make_rng(19))
 
-    report_random = p_at_1(bag_overlap_score, random_inst)
-    report_shuffle = p_at_1(bag_overlap_score, shuffle_inst)
+    report_random = p_at_1(_bag_overlap_score, random_inst)
+    report_shuffle = p_at_1(_bag_overlap_score, shuffle_inst)
     assert report_random.value > 0.9
     assert report_shuffle.value <= 0.25
 
@@ -224,17 +215,6 @@ def test_load_pairs_wrong_column_count_or_empty_side_names_the_line(text, line):
     with pytest.raises(ParseError) as err:
         load_pairs(io.StringIO(text))
     assert err.value.line == line
-
-
-def test_load_triples_rejects_an_empty_column_and_a_fourth_column():
-    from arcmatch.data import load_triples
-
-    with pytest.raises(ParseError, match="empty side") as err:
-        load_triples(io.StringIO("a\tb\tc\nd\te\t \n"))
-    assert err.value.line == 2
-    with pytest.raises(ParseError, match="4 columns, expected 3") as err:
-        load_triples(io.StringIO("a\tb\tc\td\n"))
-    assert err.value.line == 1
 
 
 def test_read_rows_without_a_column_count_keeps_every_column():

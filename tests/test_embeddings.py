@@ -8,7 +8,7 @@ from arcmatch.embeddings import (RunStats, encode_sentence, load_embeddings,
 from arcmatch.errors import DataError, ParseError
 from arcmatch.tensor import make_rng
 
-from conftest import small_table
+from conftest import small_table, table_row
 
 
 def _src(text):
@@ -60,7 +60,7 @@ def test_encode_pads_with_zero_rows():
     sent = encode_sentence(["w1", "w2", "w3"], table, 6)
     assert sent.length == 3
     assert not sent.x[3:].any()
-    assert np.array_equal(sent.x[0], table.row("w1"))
+    assert np.array_equal(sent.x[0], table_row(table, "w1"))
 
 
 def test_encode_oov_maps_to_unk():

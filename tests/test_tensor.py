@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arcmatch.errors import NumericError, ShapeError
-from arcmatch.tensor import (activate, finite_diff, finite_diff_gap, init_uniform,
+from arcmatch.tensor import (activate, finite_diff_gap, init_uniform,
                              make_rng, relu, sigmoid, split_by)
 from arcmatch.training import GRADCHECK_GAP_ABS, GRADCHECK_GAP_REL
 
@@ -46,23 +46,23 @@ def test_init_uniform_mean_near_zero():
 
 
 def test_finite_diff_quadratic():
-    grad = finite_diff(lambda t: t[0] ** 2, np.array([3.0]), 1e-4)
+    grad = finite_diff_gap(lambda t: t[0] ** 2, np.array([3.0]), 1e-4)[0]
     assert abs(grad[0] - 6.0) < 1e-6
 
 
 def test_finite_diff_constant():
-    grad = finite_diff(lambda t: 5.0, np.array([1.0, -2.0, 0.5]), 1e-4)
+    grad = finite_diff_gap(lambda t: 5.0, np.array([1.0, -2.0, 0.5]), 1e-4)[0]
     assert np.array_equal(grad, np.zeros(3))
 
 
 def test_finite_diff_relu_locally_linear():
-    grad = finite_diff(lambda t: max(t[0], 0.0), np.array([1.0]), 1e-4)
+    grad = finite_diff_gap(lambda t: max(t[0], 0.0), np.array([1.0]), 1e-4)[0]
     assert abs(grad[0] - 1.0) < 1e-6
 
 
 def test_finite_diff_rejects_non_finite():
-    with pytest.raises(NumericError):
-        finite_diff(lambda t: float("nan"), np.array([1.0]), 1e-4)
+    with pytest.raises(NumericError, match="^finite_diff_gap: non-finite evaluation at theta"):
+        finite_diff_gap(lambda t: float("nan"), np.array([1.0]), 1e-4)
 
 
 def _kinked(central, gap):
