@@ -128,7 +128,6 @@ def build_parser() -> _Parser:
     _add_common(c)
     c.add_argument("--model", default="all", choices=(*MODEL_KINDS, "all"))
     c.add_argument("--eps", type=float, default=1e-5)
-    c.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 
@@ -224,10 +223,11 @@ def _score_pairs(model, table, max_len, stats, pairs):
                                                               stats))[:, 0].tolist()
 
 
-def _note_truncated(stats, length, file=None) -> None:
+def _note_truncated(stats, length) -> None:
+    """On stderr, the sentences cut to length."""
     if stats.truncated:
         print(f"note: {stats.truncated}/{stats.sentences} sentences truncated to {length}",
-              file=file)
+              file=sys.stderr)
 
 
 def _note_sampling(stats) -> None:
@@ -343,7 +343,7 @@ def cmd_eval(args) -> int:
     print()
     print(report.kv_lines())
     _note_sampling(stats)
-    _note_truncated(stats, f"max_len {max_len}", sys.stderr)
+    _note_truncated(stats, f"max_len {max_len}")
     return 0
 
 
@@ -387,7 +387,7 @@ def cmd_score(args) -> int:
             raise DataError("cannot score an empty sentence")
     for score in _score_pairs(model, table, max_len, stats, pairs):
         print(f"{score:.6f}")
-    _note_truncated(stats, f"max_len {max_len}", sys.stderr)
+    _note_truncated(stats, f"max_len {max_len}")
     return 0
 
 
@@ -395,8 +395,7 @@ def cmd_gradcheck(args) -> int:
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     worst = 0.0
     for kind in kinds:
-        err = gradient_check(kind, seed=args.seed, eps=args.eps,
-                             negate_bias_grad=args.inject_fault)
+        err = gradient_check(kind, seed=args.seed, eps=args.eps)
         worst = max(worst, err)
         verdict = "PASS" if err < 1e-4 else "FAIL"
         print(f"{kind:10s} {verdict} max_rel_err={err:.3e} (threshold 1e-04)")

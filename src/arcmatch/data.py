@@ -275,11 +275,11 @@ def _encode_shared(slots, table: EmbeddingTable, max_len: int,
     """encode_sentence of every token list in slots, one EncodedSentence
     per distinct list.
 
-    Equal lists get the same object, and the distinct sentences' matrices
-    are views of one zero block filled by a single row gather. stats
-    counts every slot, truncated ones included (if a slot cannot be
-    encoded, only those before it). Slots are matched by object first
-    (slots holds them, so no id is reused) and by tuple once per object.
+    Equal lists get the same object, and the distinct lists are looked up
+    in the vocabulary together (encode_block). stats counts every slot,
+    truncated ones included (if a slot cannot be encoded, only those
+    before it). Slots are matched by object first (slots holds them, so no
+    id is reused) and by tuple once per object.
     """
     keys = list(map(id, slots))
     objects = dict(zip(keys, slots))  # in first-occurrence order
@@ -301,8 +301,7 @@ def _encode_shared(slots, table: EmbeddingTable, max_len: int,
 def encode_triples(triples, table: EmbeddingTable, max_len: int,
                    stats: RunStats | None = None) -> list:
     """Encoded triples; every occurrence of a token list shares one
-    EncodedSentence, whose .x is read-only except through
-    training._refresh."""
+    EncodedSentence."""
     sents = iter(_encode_shared([s for t in triples for s in (t.x, t.y_pos, t.y_neg)],
                                 table, max_len, stats))
     return list(map(Triple, sents, sents, sents))

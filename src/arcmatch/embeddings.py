@@ -1,17 +1,18 @@
 """Vocabulary, word-vector loading, tokenization and sentence encoding.
 
-Sentences become fixed-size matrices: one embedding row per word, then
+A sentence is encoded as its word ids. Models read it as a fixed-size
+matrix of the embedding table's current rows: one row per word, then
 all-zero rows up to the model's maximum length. The <unk> vector is never
 all-zero, so the all-zero gate in the convolution layers fires only on
 genuine padding.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, ShapeError
 
 UNK = "<unk>"
 
@@ -53,24 +54,56 @@ class EmbeddingTable:
 
 @dataclass
 class EncodedSentence:
-    """Padded input matrix plus the word ids and true token count.
+    """The word ids and true token count of a sentence padded to max_len,
+    read against the table it was encoded with.
 
-    data.encode_triples and data.encode_instances share one EncodedSentence
-    among every occurrence of a token list, so .x is read-only; only
-    training._refresh writes it, and it writes the same table rows for
-    every sharer. Their .x are views, one per sentence, of a block that
-    encode_block fills in one gather.
+    .x is the padded [max_len, dim] matrix of that table's current rows,
+    built read-only on each access, so that every sentence reads what
+    fine-tuning last wrote into the table.
     """
 
     ids: list[int]
     length: int
-    x: np.ndarray  # [max_len, dim]; rows length.. are all-zero
+    table: EmbeddingTable = field(repr=False, compare=False)
+    max_len: int
+
+    @property
+    def x(self) -> np.ndarray:  # [max_len, dim]; rows length.. are all-zero
+        x = np.zeros((self.max_len, self.table.dim), dtype=np.float64)
+        x[: self.length] = self.table.vectors.take(self.ids, axis=0)
+        x.flags.writeable = False
+        return x
 
 
 def sentence_matrix(sent) -> np.ndarray:
     """The padded matrix of an EncodedSentence; a stack of sentences is
     passed as an array [..., max_len, dim] and returned unchanged."""
     return sent if isinstance(sent, np.ndarray) else sent.x
+
+
+def stack_sentences(sents, table: EmbeddingTable | None = None):
+    """Sentences of one padded length as a stack [n, max_len, dim] of
+    table's current rows, and the (flat stack row, word id) of every word.
+
+    Without a table the rows come from the one the sentences were encoded
+    with, which they must share.
+    """
+    max_len = sents[0].max_len
+    if any(s.max_len != max_len for s in sents):
+        raise ShapeError(f"sentences stacked together must share one padded length, "
+                         f"got {sorted({s.max_len for s in sents})}")
+    if table is None:
+        table = sents[0].table
+        if any(s.table is not table for s in sents):
+            raise DataError("sentences stacked without a table must share the one "
+                            "they were encoded with")
+    lengths = np.array([s.length for s in sents])
+    ids = np.fromiter(itertools.chain.from_iterable(s.ids for s in sents),
+                      dtype=np.int64, count=lengths.sum())
+    rows = np.flatnonzero(np.arange(max_len) < lengths[:, None])
+    stack = np.zeros((len(sents) * max_len, table.dim), dtype=np.float64)
+    stack[rows] = table.vectors[ids]
+    return stack.reshape(len(sents), max_len, table.dim), (rows, ids)
 
 
 @dataclass
@@ -204,7 +237,7 @@ def _check_encodable(tokens, max_len: int) -> None:
 
 def encode_sentence(tokens, table: EmbeddingTable, max_len: int,
                     stats: RunStats | None = None) -> EncodedSentence:
-    """Map tokens to a padded [max_len, dim] matrix.
+    """The sentence of tokens, padded to max_len, against table.
 
     Unknown tokens map to <unk>; sentences longer than max_len are
     truncated (counted in stats, not an error).
@@ -217,26 +250,20 @@ def encode_sentence(tokens, table: EmbeddingTable, max_len: int,
             stats.truncated += 1
         tokens = tokens[:max_len]
     ids = table.vocab.indices(tokens)
-    x = np.zeros((max_len, table.dim), dtype=np.float64)
-    x[: len(ids)] = table.vectors.take(ids, axis=0)
-    return EncodedSentence(ids=ids, length=len(ids), x=x)
+    return EncodedSentence(ids, len(ids), table, max_len)
 
 
 def encode_block(sentences, table: EmbeddingTable, max_len: int) -> list:
-    """encode_sentence of each token list, counting no stats; the
-    matrices are views of one [len(sentences), max_len, dim] block, filled
-    by one row gather."""
+    """encode_sentence of each token list, counting no stats, with one
+    vocabulary lookup for them all."""
     for tokens in sentences:
         _check_encodable(tokens, max_len)
     sentences = [tokens[:max_len] for tokens in sentences]
     lengths = list(map(len, sentences))
     flat = table.vocab.indices(itertools.chain.from_iterable(sentences))
     ends = itertools.accumulate(lengths)
-    ids = [flat[end - n:end] for end, n in zip(ends, lengths)]
-    block = np.zeros((len(ids), max_len, table.dim), dtype=np.float64)
-    rows = np.flatnonzero(np.arange(max_len) < np.array(lengths)[:, None])
-    block.reshape(-1, table.dim)[rows] = table.vectors.take(flat, axis=0)
-    return list(map(EncodedSentence, ids, lengths, block))
+    return [EncodedSentence(flat[end - n:end], n, table, max_len)
+            for end, n in zip(ends, lengths)]
 
 
 def write_embeddings(table: EmbeddingTable, path: str) -> None:

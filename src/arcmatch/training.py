@@ -5,14 +5,13 @@ finite-difference gradient check used to validate every backward pass.
 
 import ctypes
 import functools
-import itertools
 import math
 import platform
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EncodedSentence, random_embeddings, encode_sentence
+from .embeddings import encode_sentence, random_embeddings, stack_sentences
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import rank_report
 from .mlp import draw_dropout_masks
@@ -63,16 +62,6 @@ def hinge_loss(s_pos, s_neg):
     return np.maximum(0.0, 1.0 + s_neg - s_pos)
 
 
-def _refresh(sent: EncodedSentence, table) -> None:
-    """Re-materialize the padded matrix from (possibly fine-tuned) vectors.
-
-    The sentence may be shared by many triples or instances (see
-    data.encode_triples); the rows written depend only on its ids, so every
-    sharer sees the matrix it would have been encoded with from the table.
-    """
-    sent.x[: sent.length] = table.vectors.take(sent.ids, axis=0)
-
-
 @functools.cache
 def _keep_heap() -> None:
     """Let glibc keep freed memory for the next SGD step, once per process.
@@ -98,34 +87,11 @@ def _keep_heap() -> None:
     mallopt(m_mmap_threshold, 32 << 20)
 
 
-def _stack(sents, table):
-    """Sentences of one padded shape as a stack [n, L, D].
-
-    Without a table the sentences' own matrices are stacked. With one, the
-    word rows are read from its current vectors, as _refresh would put
-    them, and the (flat stack row, word id) of every word is returned too.
-    """
-    shape = sents[0].x.shape
-    if any(s.x.shape != shape for s in sents):
-        raise ShapeError(f"sentences stacked together must share one padded shape, "
-                         f"got {sorted({s.x.shape for s in sents})}")
-    if table is None:
-        return np.stack([s.x for s in sents]), None
-    max_len, dim = shape
-    lengths = np.array([s.length for s in sents])
-    ids = np.fromiter(itertools.chain.from_iterable(s.ids for s in sents),
-                      dtype=np.int64, count=lengths.sum())
-    rows = np.flatnonzero(np.arange(max_len) < lengths[:, None])
-    stack = np.zeros((len(sents) * max_len, dim), dtype=np.float64)
-    stack[rows] = table.vectors[ids]
-    return stack.reshape(len(sents), max_len, dim), (rows, ids)
-
-
 def _add_word_grads(emb_acc: np.ndarray, x_words, y_words, dx: np.ndarray,
                     dy: np.ndarray) -> None:
     """Add the gradients of a chunk's word rows, dx [C, L, D] and dy
     [2, C, L, D], to their words' rows of emb_acc; x_words and y_words are
-    _stack's (flat stack row, word id) of each side."""
+    stack_sentences' (flat stack row, word id) of each side."""
     (x_rows, x_ids), (y_rows, y_ids) = x_words, y_words
     dim = emb_acc.shape[-1]
     word_grads = np.concatenate([dx.reshape(-1, dim)[x_rows], dy.reshape(-1, dim)[y_rows]])
@@ -150,6 +116,8 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     Both pairs of a triple are scored with the same dropout masks, drawn
     per triple in batch order if model.head.dropout > 0; only triples with
     positive loss contribute gradients. Update is theta -= lr * mean(grad).
+    Word rows are read from table (see stack_sentences); with
+    cfg.finetune_embeddings and a table, its rows are updated too.
 
     The batch runs in chunks of the model kind's KINDS[kind].chunk triples,
     each stacked along leading dimensions: x as [C, L, D] and (y+, y-) as
@@ -170,14 +138,14 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     _keep_heap()
     size = KINDS[model.kind].chunk
     finetune = cfg.finetune_embeddings and table is not None
-    words = table if finetune else None
     total_loss = 0.0
     acc = None
     emb_acc = None
     for start in range(0, len(batch), size):
         chunk = batch[start : start + size]
-        x, x_words = _stack([t.x for t in chunk], words)
-        y, y_words = _stack([t.y_pos for t in chunk] + [t.y_neg for t in chunk], words)
+        x, x_words = stack_sentences([t.x for t in chunk], table)
+        y, y_words = stack_sentences([t.y_pos for t in chunk] + [t.y_neg for t in chunk],
+                                     table)
         masks = _chunk_masks(model.head, rng, len(chunk))
         scores, trace = model.score(x, y.reshape(2, len(chunk), *y.shape[1:]), masks)
         losses = hinge_loss(scores[0], scores[1])
@@ -216,11 +184,12 @@ def sgd_step(model, batch, cfg: TrainConfig, rng: np.random.Generator,
     return total_loss / len(batch)
 
 
-def score_instances(model, instances) -> np.ndarray:
+def score_instances(model, instances, table=None) -> np.ndarray:
     """Scores [N, m+1] of encoded instances' candidates against their x,
-    equal to per-pair model.score calls bit for bit. The instances share one
-    candidate count; each group of them is one stacked call, x [G, 1, L, D]
-    against [G, m+1, L, D], of about the 2 * chunk pairs an SGD chunk scores."""
+    equal to per-pair model.score calls bit for bit, with the words read
+    from table (see stack_sentences). The instances share one candidate
+    count; each group of them is one stacked call, x [G, 1, L, D] against
+    [G, m+1, L, D], of about the 2 * chunk pairs an SGD chunk scores."""
     width = len(instances[0].candidates) if instances else 0
     if any(len(inst.candidates) != width for inst in instances):
         raise ShapeError("instances scored together must share one candidate count")
@@ -228,8 +197,8 @@ def score_instances(model, instances) -> np.ndarray:
     scores = np.empty((len(instances), width))
     for start in range(0, len(instances), group):
         chunk = instances[start : start + group]
-        x, _ = _stack([inst.x for inst in chunk], None)
-        y, _ = _stack([c for inst in chunk for c in inst.candidates], None)
+        x, _ = stack_sentences([inst.x for inst in chunk], table)
+        y, _ = stack_sentences([c for inst in chunk for c in inst.candidates], table)
         scores[start : start + len(chunk)] = model.score(
             x[:, None], y.reshape(len(chunk), width, *y.shape[1:]))[0]
     return scores
@@ -243,8 +212,9 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     batches, keeps the best-validation parameter snapshot, and stops after
     cfg.patience evaluations without improvement. A run that reaches no
     evaluation that way evaluates after its last batch, so that it keeps
-    what it learned. Returns (model restored to the best snapshot,
-    TrainHistory).
+    what it learned. Validation reads its words from table, as the SGD
+    steps do. Returns (model, TrainHistory), with the model restored to
+    the best snapshot and a fine-tuned table to its vectors at that point.
     """
     cfg.validate()
     if not train_triples:
@@ -263,10 +233,6 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     loss_count = 0
     stop = False
 
-    # with fine-tuning, each distinct validation sentence re-reads the table
-    # before every evaluation and after the best table is restored
-    stale = ({id(s): s for inst in val_instances for s in (inst.x, *inst.candidates)}
-             if best_table is not None else {})
     answers = [inst.answer for inst in val_instances]
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -279,9 +245,7 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
             batches += 1
             last = epoch == cfg.max_epochs and start + cfg.batch_size >= len(order)
             if batches % cfg.eval_every == 0 or (last and not history.records):
-                for sent in stale.values():
-                    _refresh(sent, table)
-                report = rank_report(score_instances(model, val_instances), answers)
+                report = rank_report(score_instances(model, val_instances, table), answers)
                 val_p1 = report.value
                 train_loss = loss_sum / max(loss_count, 1)
                 history.add(epoch, batches, train_loss, val_p1)
@@ -307,8 +271,6 @@ def train(model, train_triples, val_instances, cfg: TrainConfig, table=None,
     restore_params(model, best_snapshot)
     if best_table is not None:
         table.vectors[...] = best_table
-    for sent in stale.values():
-        _refresh(sent, table)
     return model, history
 
 
@@ -328,8 +290,7 @@ GRADCHECK_DIM, GRADCHECK_LEN = 3, 8  # gradient_check's word vector width, sente
 GRADCHECK_GAP_ABS, GRADCHECK_GAP_REL = 1e-9, 1e-7
 
 
-def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
-                   negate_bias_grad: bool = False) -> float:
+def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central differences.
 
     Builds a small random model and one random triple, forms the hinge
@@ -342,9 +303,6 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
     shows as forward and backward differences that disagree beyond
     rounding (tensor.finite_diff_gap); a draw with any such coordinate,
     gap > GRADCHECK_GAP_ABS + GRADCHECK_GAP_REL * |central|, is redrawn.
-
-    negate_bias_grad flips the sign of one analytic bias gradient; it
-    exists so the failure path of the comparison can be exercised.
     """
     if model_kind not in KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
@@ -361,20 +319,8 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5,
             tr_pos, tr_neg = tr_neg, tr_pos
         g_pos, _, _ = model.backward(tr_pos, -1.0)
         g_neg, _, _ = model.backward(tr_neg, +1.0)
-        total = {name: g_pos[name] + g_neg[name] for name, _ in model.named_params()}
-        if negate_bias_grad:
-            # flip the most influential bias gradient; draws where every
-            # bias gradient cancels exactly (hinge symmetry with matching
-            # activation patterns) give the fault nothing to corrupt
-            bias_names = [n for n, _ in model.named_params()
-                          if n.endswith(".b") or n == "b1"]
-            bias_name = max(bias_names, key=lambda n: float(np.abs(total[n]).max()))
-            if float(np.abs(total[bias_name]).max()) < 1e-6:
-                continue
-            total[bias_name] = -total[bias_name]
-        analytic = np.concatenate([
-            total[name].ravel() for name, _ in model.named_params()
-        ])
+        analytic = np.concatenate([(g_pos[name] + g_neg[name]).ravel()
+                                   for name, _ in model.named_params()])
         theta0 = param_vector(model)
 
         def loss_at(theta):

@@ -1,7 +1,8 @@
-import numpy as np
 import pytest
 
-from arcmatch.embeddings import EncodedSentence, random_embeddings, encode_sentence
+from arcmatch.arc1 import Arc1Model
+from arcmatch.arc2 import Arc2Model
+from arcmatch.embeddings import random_embeddings, encode_sentence
 from arcmatch.tensor import make_rng
 
 
@@ -26,7 +27,11 @@ def random_sentence(table, max_len, rng, min_len=2, max_tokens=None):
     return encode_sentence(tokens, table, max_len)
 
 
-def sentence_from_matrix(x):
-    """Hand-built sentence wrapper for tests that craft x directly."""
-    return EncodedSentence(ids=[0] * x.shape[0], length=x.shape[0],
-                          x=np.asarray(x, dtype=np.float64))
+def double_every_gradient(monkeypatch):
+    """Make every model's backward return each parameter gradient doubled:
+    a relative error of 1/3 wherever a gradient is live."""
+    for cls in (Arc1Model, Arc2Model):
+        def doubled(self, trace, upstream, backward=cls.backward):
+            grads, dx, dy = backward(self, trace, upstream)
+            return {name: 2.0 * g for name, g in grads.items()}, dx, dy
+        monkeypatch.setattr(cls, "backward", doubled)

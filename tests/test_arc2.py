@@ -13,7 +13,7 @@ from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector, set_param_vector
 from arcmatch.tensor import activate_grad_from_output, finite_diff_gap, make_rng
 
-from conftest import random_sentence, sentence_from_matrix, small_table, table_row
+from conftest import random_sentence, small_table, table_row
 from reference import (ref_arc2_score, ref_arc2_stack, ref_pair_grid,
                        ref_pair_pool_backward)
 
@@ -26,8 +26,8 @@ def _model(seed=0, **kw):
 
 def test_interaction_tiny_hand_case():
     # one-word windows, scalar embeddings: cell (i, j) = x_i + y_j
-    sx = sentence_from_matrix(np.array([[1.0], [2.0]]))
-    sy = sentence_from_matrix(np.array([[3.0], [4.0]]))
+    sx = np.array([[1.0], [2.0]])
+    sy = np.array([[3.0], [4.0]])
     _, gate, lt = interaction_conv1d(sx, sy, np.array([[1.0, 1.0]]), np.zeros(1), 1)
     out = ref_pair_grid(lt)[2]
     assert out[:, :, 0].tolist() == [[4.0, 5.0], [5.0, 6.0]]
@@ -48,10 +48,9 @@ def test_interaction_shape_14x14():
 def test_interaction_gate_pair_semantics():
     # x has 2 real words then padding; y has 4; k1=2 windows
     table = small_table()
-    sx = sentence_from_matrix(np.vstack([table_row(table, "w1"), table_row(table, "w2"),
-                                         np.zeros(4), np.zeros(4)]))
-    sy = sentence_from_matrix(np.vstack([table_row(table, "w3"), table_row(table, "w4"),
-                                         table_row(table, "w5"), table_row(table, "w6")]))
+    sx = np.vstack([table_row(table, "w1"), table_row(table, "w2"), np.zeros(4), np.zeros(4)])
+    sy = np.vstack([table_row(table, "w3"), table_row(table, "w4"),
+                    table_row(table, "w5"), table_row(table, "w6")])
     w = np.ones((2, 2 * 2 * 4))
     b = np.full(2, 3.0)
     _, gate, lt = interaction_conv1d(sx, sy, w, b, 2, "sigmoid")
@@ -60,8 +59,7 @@ def test_interaction_gate_pair_semantics():
     assert gate[2].all()           # one side padding, other not: gate stays on
     assert out[2].all()            # computed normally (sigmoid of bias part)
     # both sides padding cannot happen here since y has no padded window
-    sy_padded = sentence_from_matrix(np.vstack([table_row(table, "w3"), np.zeros(4),
-                                                np.zeros(4), np.zeros(4)]))
+    sy_padded = np.vstack([table_row(table, "w3"), np.zeros(4), np.zeros(4), np.zeros(4)])
     _, gate2, lt2 = interaction_conv1d(sx, sy_padded, w, b, 2, "sigmoid")
     out2 = ref_pair_grid(lt2)[2]
     assert gate2[2, 1] == 0.0      # both segments all-zero
@@ -179,8 +177,9 @@ def test_permuting_padding_region_changes_nothing():
     g1, dx1, dy1 = model.backward(t1, 1.0)
     # "permute" words beyond the true length: padding rows are all zero, so
     # any reordering of them is the identity on the matrix
-    sy.x[sy.length :] = sy.x[sy.length :][::-1]
-    s2, t2 = model.score(sx, sy)
+    y = sy.x.copy()
+    y[sy.length :] = y[sy.length :][::-1]
+    s2, t2 = model.score(sx, y)
     g2, dx2, dy2 = model.backward(t2, 1.0)
     assert s1 == s2
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
@@ -461,9 +460,9 @@ def test_order_preservation_perturbation_confined_to_covering_cells():
     _, base = model.score(sx, sy)
 
     for p in (0, 5, 11):
-        sx2 = sentence_from_matrix(sx.x.copy())
-        sx2.x[p] = rng.normal(size=4)
-        _, pert = model.score(sx2, sy)
+        x2 = sx.x.copy()
+        x2[p] = rng.normal(size=4)
+        _, pert = model.score(x2, sy)
         # conv layers of the trace: layers[li].conv_out (the rebuilt grid for
         # li = 0), layer index in the static table is 2*li (conv) and 2*li+1
         # (pool)

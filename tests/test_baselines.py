@@ -8,7 +8,7 @@ from arcmatch.embeddings import encode_sentence
 from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.tensor import make_rng
 
-from conftest import random_sentence, sentence_from_matrix, small_table, table_row
+from conftest import random_sentence, small_table, table_row
 from reference import ref_senmlp_score, ref_wordembed_score
 
 
@@ -56,7 +56,7 @@ def test_senmlp_order_sensitive():
 
 def test_senmlp_zero_sentences_score_bias_path():
     model = build_senmlp(3, 6, make_rng(7), hidden=(4,))
-    zero = sentence_from_matrix(np.zeros((6, 3)))
+    zero = np.zeros((6, 3))
     s, _ = model.score(zero, zero)
     # zero input: hidden = act(b) = act(0) for zero biases; score = out bias
     assert s == model.head.biases[-1][0]
@@ -127,7 +127,7 @@ def test_senna_translation_invariance_with_zero_margins():
     for shift in (0, 1, 2, 3):
         x = np.zeros((12, 3))
         x[shift + 2 : shift + 6] = core
-        vec, _ = encode(sentence_from_matrix(x), model.params_x, model.config_x)
+        vec, _ = encode(x, model.params_x, model.config_x)
         if shift == 0:
             base = vec
         else:

@@ -18,8 +18,8 @@ from arcmatch.arc2 import build_arc2, conv2d_gated, interaction_conv1d, maxpool2
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.conv_sentence import conv1d_gated, maxpool1d, maxpool_backward
 from arcmatch.data import RankingInstance, Triple
-from arcmatch.embeddings import EmbeddingTable, EncodedSentence
-from arcmatch.errors import ShapeError
+from arcmatch.embeddings import EmbeddingTable
+from arcmatch.errors import DataError, ShapeError
 from arcmatch.mlp import build_head, draw_dropout_masks, head_forward
 from arcmatch.models import KINDS, param_vector
 from arcmatch.tensor import make_rng
@@ -56,6 +56,13 @@ def _stack(sents):
 
 def _same(a, b):
     return np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def _matrix(sent, table):
+    """sent's padded matrix, read from table's current vectors."""
+    x = np.zeros((sent.max_len, table.dim))
+    x[: sent.length] = table.vectors[sent.ids]
+    return x
 
 
 # ---- layers: stacked input == per-item calls, bitwise ----------------------
@@ -198,12 +205,10 @@ def _per_pair_step(model, batch, cfg, rng, table):
     total, active = 0.0, False
     for t in batch:
         sents = (t.x, t.y_pos, t.y_neg)
-        if finetune:
-            for s in sents:
-                s.x[: s.length] = table.vectors[s.ids]
+        x, y_pos, y_neg = (_matrix(s, table) for s in sents)
         masks = draw_dropout_masks(model.head, rng) if model.head.dropout > 0 else None
-        s_pos, tr_pos = model.score(t.x, t.y_pos, masks)
-        s_neg, tr_neg = model.score(t.x, t.y_neg, masks)
+        s_pos, tr_pos = model.score(x, y_pos, masks)
+        s_neg, tr_neg = model.score(x, y_neg, masks)
         loss = hinge_loss(s_pos, s_neg)
         total += loss
         if loss <= 0.0:
@@ -368,11 +373,16 @@ def test_score_instances_rejects_instances_of_different_candidate_counts():
         score_instances(BUILDERS["wordembed"](make_rng(25)), instances)
 
 
-def _fresh(sent, table):
-    """sent encoded anew from the table's current vectors."""
-    x = np.zeros_like(sent.x)
-    x[: sent.length] = table.vectors[sent.ids]
-    return EncodedSentence(sent.ids, sent.length, x)
+def test_score_instances_reads_one_table():
+    # sentences of two tables stack only against a table given for them all
+    table, other = small_table(), small_table(seed=6)
+    instances = _instances(table, 2, 3, make_rng(28)) + _instances(other, 1, 3, make_rng(29))
+    model = BUILDERS["wordembed"](make_rng(30))
+    with pytest.raises(DataError, match="share the one"):
+        score_instances(model, instances)
+    moved = [RankingInstance(_matrix(inst.x, table), [_matrix(c, table) for c in inst.candidates],
+                             inst.answer) for inst in instances]
+    assert _same(score_instances(model, instances, table), _per_pair(model, moved))
 
 
 def test_fine_tuned_validation_scores_the_refreshed_matrices(monkeypatch):
@@ -383,11 +393,11 @@ def test_fine_tuned_validation_scores_the_refreshed_matrices(monkeypatch):
     val = _instances(table, 30, 4, rng)
     calls = []
 
-    def checked(model, instances):
-        fresh = [RankingInstance(_fresh(inst.x, table),
-                                 [_fresh(c, table) for c in inst.candidates], inst.answer)
+    def checked(model, instances, words):
+        fresh = [RankingInstance(_matrix(inst.x, table),
+                                 [_matrix(c, table) for c in inst.candidates], inst.answer)
                  for inst in instances]
-        got = score_instances(model, instances)
+        got = score_instances(model, instances, words)
         calls.append(_same(got, _per_pair(model, fresh)))
         return got
 

@@ -165,9 +165,11 @@ def test_gradcheck_all_kinds_pass(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_injected_fault_fails(capsys):
-    code = run(["gradcheck", "--model", "arc1", "--seed", "2",
-                "--inject-fault"])
+def test_gradcheck_injected_fault_fails(capsys, monkeypatch):
+    from conftest import double_every_gradient
+
+    double_every_gradient(monkeypatch)
+    code = run(["gradcheck", "--model", "arc1", "--seed", "2"])
     out = capsys.readouterr().out + capsys.readouterr().err
     assert code == 3
     assert "FAIL" in out
@@ -860,6 +862,34 @@ def test_train_reports_shuffle_skips_on_stderr_and_keeps_stdout(synth_dir, tmp_p
         make_eval_instances(load_pairs(fh), 4, "shuffle", None, rng, stats)
     assert stats.shuffle_skipped == 4
     assert out.err == "note: 4 shuffle negatives skipped: y+ has no new order of its tokens\n"
+
+
+def test_train_reports_truncation_on_stderr_not_stdout(synth_dir, tmp_path, capsys):
+    from arcmatch.data import (encode_instances, encode_triples, make_eval_instances,
+                               sample_negatives)
+    from arcmatch.embeddings import RunStats, random_embeddings
+    from arcmatch.tensor import make_rng
+
+    argv = _train_args(synth_dir, tmp_path, "--epochs", "1", "--train-negatives", "2",
+                       "--seed", "4")
+    argv[argv.index("--max-len") + 1] = "9"
+    argv.remove("--quiet")
+    assert run(argv) == 0
+    out = capsys.readouterr()
+    assert "note:" not in out.out
+    assert out.out.endswith(f"checkpoint written to {tmp_path / 'm.ckpt'}\n")
+    # train draws the training triples, then the validation instances
+    stats, rng = RunStats(), make_rng(4)
+    table = random_embeddings(["t"], 8, make_rng(4))  # the counts read no vectors
+    with open(synth_dir / "train.pairs", encoding="utf-8") as fh:
+        encode_triples(sample_negatives(load_pairs(fh), 2, "random", None, rng, stats),
+                       table, 9, stats)
+    with open(synth_dir / "val.pairs", encoding="utf-8") as fh:
+        encode_instances(make_eval_instances(load_pairs(fh), 4, "random", None, rng, stats),
+                         table, 9, stats)
+    assert 0 < stats.truncated < stats.sentences
+    assert out.err == (f"note: {stats.truncated}/{stats.sentences} sentences truncated "
+                       f"to --max-len 9\n")
 
 
 @pytest.mark.parametrize("model,flag", [

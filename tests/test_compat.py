@@ -18,7 +18,6 @@ from arcmatch.arc1 import build_arc1
 from arcmatch.arc2 import build_arc2
 from arcmatch.baselines import build_senmlp, build_senna, build_wordembed
 from arcmatch.checkpoint import load_checkpoint, save_checkpoint
-from arcmatch.embeddings import EncodedSentence
 from arcmatch.tensor import make_rng
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -43,14 +42,14 @@ MODELS = {
 }
 
 
-def _sentence(length: int, offset: int) -> EncodedSentence:
-    """A padded sentence of exactly representable values, built without an
-    rng so that the inputs cannot drift."""
+def _sentence(length: int, offset: int) -> np.ndarray:
+    """A padded sentence matrix of exactly representable values, built
+    without an rng so that the inputs cannot drift."""
     x = np.zeros((MAX_LEN, DIM))
     for r in range(length):
         for c in range(DIM):
             x[r, c] = ((r * 7 + c * 3 + offset) % 11 - 5) / 4
-    return EncodedSentence(ids=[1] * length, length=length, x=x)
+    return x
 
 
 PAIRS = [(_sentence(5, 0), _sentence(3, 4)),

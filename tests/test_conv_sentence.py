@@ -11,7 +11,7 @@ from arcmatch.errors import ConfigError, ShapeError
 from arcmatch.models import param_vector
 from arcmatch.tensor import finite_diff_gap, make_rng
 
-from conftest import random_sentence, sentence_from_matrix, small_table
+from conftest import random_sentence, small_table
 from reference import ref_encode, ref_layer_lengths, ref_maxpool1d, ref_maxpool2d
 
 
@@ -301,8 +301,7 @@ def test_encode_backward_matches_finite_differences():
 
         # input gradient as well (used for embedding fine-tuning)
         def loss_at_x(flat_x):
-            s2 = sentence_from_matrix(flat_x.reshape(sent.x.shape))
-            return _encode_loss(s2, params, cfg, upstream)
+            return _encode_loss(flat_x.reshape(sent.x.shape), params, cfg, upstream)
 
         numeric_dx = finite_diff_gap(loss_at_x, sent.x.ravel(), 1e-5)[0]
         live = np.abs(dx.ravel()) + np.abs(numeric_dx) >= 1e-8

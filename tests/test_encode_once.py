@@ -5,13 +5,17 @@ or instance that holds the list.
 Sharing must change nothing a caller can observe: every matrix equals
 encode_sentence's, RunStats counts every occurrence, and SGD steps,
 validation and training runs over shared sentences equal, bit for bit,
-the same runs over sentences encoded one occurrence at a time.
+the same runs over sentences encoded one occurrence at a time. A
+sentence holds word ids, so whatever changes the table, every sharer
+reads the table as it is.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcmatch.data import (RankingInstance, Triple, encode_instances, encode_triples,
                            gen_synthetic_corpus, make_eval_instances, sample_negatives)
@@ -19,7 +23,7 @@ from arcmatch.embeddings import EmbeddingTable, RunStats, encode_sentence, rando
 from arcmatch.errors import DataError
 from arcmatch.models import KINDS, MODEL_KINDS, build_model, param_vector
 from arcmatch.tensor import make_rng
-from arcmatch.training import TrainConfig, _refresh, sgd_step, train
+from arcmatch.training import TrainConfig, score_instances, sgd_step, train
 
 MAX_LEN = 9
 DIM = 4
@@ -165,9 +169,9 @@ def test_sgd_step_over_shared_triples_equals_side_by_side(kind, setting):
 
 @pytest.mark.parametrize("kind", ["arc1", "arc2"])
 def test_training_run_over_shared_sentences_equals_side_by_side(kind):
-    """train() with fine-tuning: validation refreshes shared sentences from
+    """train() with fine-tuning: validation reads shared sentences from
     the moving table, and the history, parameters and table must come out
-    as they do when every occurrence has its own matrix."""
+    as they do when every occurrence has its own sentence."""
     setting = SETTINGS["finetune_dropout"]
     corpus, table = _corpus(40)
     token_triples = sample_negatives(corpus, 3, "random", None, make_rng(11))
@@ -186,33 +190,53 @@ def test_training_run_over_shared_sentences_equals_side_by_side(kind):
     assert len({rec[3] for rec in h1}) > 1  # validation P@1 moved as the table did
 
 
-def test_refreshing_a_shared_sentence_leaves_other_instances_scores_unchanged():
-    corpus, table = _corpus(40)
-    val = encode_instances(make_eval_instances(corpus, 4, "random", None, make_rng(13)),
-                           table, MAX_LEN)
-    model = _model("arc2", SETTINGS["frozen"])
-    table.vectors += make_rng(14).normal(scale=0.5, size=table.vectors.shape)  # fine-tuned
-    for inst in val:  # validation refreshes every sentence it scores
-        for sent in (inst.x, *inst.candidates):
-            _refresh(sent, table)
-
-    def scores():
-        return [[model.score(inst.x, c)[0] for c in inst.candidates] for inst in val]
-
-    before = scores()
-    first = {id(s) for s in (val[0].x, *val[0].candidates)}
-    assert any(id(s) in first for inst in val[1:] for s in (inst.x, *inst.candidates))
-    for sent in (val[0].x, *val[0].candidates):
-        _refresh(sent, table)
-    assert scores() == before
+def test_a_sentence_matrix_is_read_only_and_the_table_is_not_compared():
+    _, table = _corpus(10)
+    sent = encode_sentence(["a", "b"], table, MAX_LEN)
+    with pytest.raises(ValueError, match="read-only"):
+        sent.x[0, 0] = 1.0
+    assert sent.x is not sent.x  # built anew on each access
+    assert sent == encode_sentence(["a", "b"], _copy(table), MAX_LEN)
+    assert "table" not in repr(sent)
 
 
-def test_readme_sized_triples_hold_one_matrix_per_distinct_sentence():
+@functools.cache
+def _property_instances():
+    """Token instances whose sentences are shared, and the table rows they read."""
+    corpus, table = _corpus(12, seed=15)
+    instances = make_eval_instances(corpus, 3, "random", None, make_rng(16))
+    slots = [s for inst in instances for s in (inst.x, *inst.candidates)]
+    assert len({tuple(s) for s in slots}) < len(slots)
+    used = sorted(set(table.vocab.indices(t for s in slots for t in s[:MAX_LEN])))
+    return instances, table, used
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(changes=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, DIM - 1),
+                                  st.floats(-2.0, 2.0)), min_size=1, max_size=12))
+def test_scores_read_the_table_as_changed_in_place(kind, changes):
+    """Fine-tuning writes into table.vectors; stacked scores, per-pair
+    scores and scores of sentences encoded anew must all read the change."""
+    token_instances, table, used = _property_instances()
+    model = _model(kind, SETTINGS["frozen"])
+    tab = _copy(table)
+    encoded = encode_instances(token_instances, tab, MAX_LEN)
+    for row, col, value in changes:
+        tab.vectors[used[row % len(used)], col] = value
+    stacked = score_instances(model, encoded)
+    per_pair = [[model.score(inst.x, c)[0] for c in inst.candidates] for inst in encoded]
+    anew = [[model.score(inst.x, c)[0] for c in inst.candidates]
+            for inst in _side_by_side_instances(token_instances, tab, MAX_LEN)]
+    assert stacked.tobytes() == np.array(per_pair).tobytes() == np.array(anew).tobytes()
+
+
+def test_readme_sized_triples_hold_one_sentence_per_distinct_token_list():
     """The README corpus: 1,600 training pairs with 10 random negatives.
 
-    Encoding each of the 48,000 sentence slots on its own peaked at 94 MB
-    of traced allocations; one matrix per distinct sentence peaks at about
-    8 MB.
+    Encoding each of the 48,000 sentence slots on its own, with a matrix
+    each, peaked at 94 MB of traced allocations, and one matrix per
+    distinct sentence at 12.6 MB; word ids alone peak at about 4 MB.
     """
     corpus, tokens = gen_synthetic_corpus(2000, 400, (7, 12), 10, make_rng(0))
     corpus.pairs = corpus.pairs[:1600]
@@ -226,5 +250,5 @@ def test_readme_sized_triples_hold_one_matrix_per_distinct_sentence():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len({id(s.x) for s in _slots(triples)}) == len(distinct)
-    assert peak < 16 * 2**20, f"encode_triples peaked at {peak / 2**20:.1f} MB"
+    assert len({id(s) for s in _slots(triples)}) == len(distinct)
+    assert peak < 8 * 2**20, f"encode_triples peaked at {peak / 2**20:.1f} MB"

@@ -17,7 +17,7 @@ from arcmatch.models import MODEL_KINDS, param_vector
 from arcmatch.tensor import make_rng
 from arcmatch.training import TrainConfig, gradient_check, hinge_loss, sgd_step, train
 
-from conftest import random_sentence, small_table
+from conftest import double_every_gradient, random_sentence, small_table
 
 
 def test_hinge_loss_values():
@@ -196,8 +196,9 @@ def test_gradient_check_all_kinds_pass():
         assert err < 1e-4, kind
 
 
-def test_gradient_check_detects_injected_fault():
-    err = gradient_check("arc1", seed=0, negate_bias_grad=True)
+def test_gradient_check_detects_injected_fault(monkeypatch):
+    double_every_gradient(monkeypatch)
+    err = gradient_check("arc1", seed=0)
     assert err >= 1e-4
 
 
@@ -219,9 +220,10 @@ def test_gradient_check_redraws_a_relu_kink_exactly_at_theta(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_gradient_check_detects_injected_fault_for_every_kind(kind):
+def test_gradient_check_detects_injected_fault_for_every_kind(kind, monkeypatch):
+    double_every_gradient(monkeypatch)
     for seed in range(10):
-        assert gradient_check(kind, seed=seed, negate_bias_grad=True) >= 1e-4, seed
+        assert gradient_check(kind, seed=seed) >= 1e-4, seed
 
 
 @pytest.mark.slow
@@ -281,12 +283,10 @@ def test_finetune_embeddings_updates_table_and_matches_fd():
     cfg = TrainConfig(learning_rate=0.0, batch_size=1, finetune_embeddings=True)
 
     # finite-difference the loss w.r.t. the embedding matrix
-    from arcmatch.training import hinge_loss as hl, _refresh
+    from arcmatch.training import hinge_loss as hl
 
-    def loss_at(flat):
+    def loss_at(flat):  # the sentences read the table's current rows
         table.vectors[...] = flat.reshape(table.vectors.shape)
-        for s in (t.x, t.y_pos, t.y_neg):
-            _refresh(s, table)
         return hl(model.score(t.x, t.y_pos)[0], model.score(t.x, t.y_neg)[0])
 
     theta0 = table.vectors.ravel().copy()
