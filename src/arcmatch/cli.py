@@ -7,6 +7,7 @@ failure.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -39,15 +40,19 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
-def _add_embedding_source(p):
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--embeddings", help="word2vec text file")
-    source.add_argument("--random-embeddings", action="store_true")
-    p.add_argument("--embed-seed", type=int, help="--random-embeddings seed (default: --seed)")
+def number(text: str) -> float:
+    """A float that is not NaN; +-inf pass."""
+    x = float(text)
+    if math.isnan(x):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    return x
 
 
 def build_parser() -> _Parser:
@@ -55,7 +60,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-synth", help="generate a synthetic pair corpus")
-    _add_common(g)
+    g.add_argument("--seed", type=non_negative_int, default=0)
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--pairs", type=int, default=1000)
     g.add_argument("--vocab-size", type=int, default=200)
@@ -65,12 +70,14 @@ def build_parser() -> _Parser:
     g.add_argument("--split", default="80/10/10", help="train/val/test percentages")
 
     t = sub.add_parser("train", help="train a matching model")
-    _add_common(t)
+    t.add_argument("--seed", type=non_negative_int, default=0)
     t.add_argument("--model", required=True, choices=MODEL_KINDS)
     t.add_argument("--train", required=True, dest="train_file")
     t.add_argument("--val", required=True, dest="val_file")
     t.add_argument("--out", required=True, help="checkpoint path")
-    _add_embedding_source(t)
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings", help="word2vec text file")
+    source.add_argument("--random-embeddings", action="store_true", help="drawn from --seed")
     t.add_argument("--embed-dim", type=int, help="--random-embeddings width (default 50)")
     t.add_argument("--max-len", type=positive_int, default=16)
     t.add_argument("--window", type=int,
@@ -97,12 +104,10 @@ def build_parser() -> _Parser:
     t.add_argument("--quiet", action="store_true")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(e)
+    e.add_argument("--seed", type=non_negative_int, default=0)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    _add_embedding_source(e)
-    e.add_argument("--vocab-from", default=None,
-                   help="comma-separated pair files for --random-embeddings")
+    e.add_argument("--embeddings", help="word2vec text file (default: CHECKPOINT.embeddings.txt)")
     e.add_argument("--max-len", type=positive_int, default=None,
                    help="encoding length for a wordembed checkpoint, which records none")
     e.add_argument("--negatives", type=int, help="negatives per ranking instance (default 4)")
@@ -110,22 +115,19 @@ def build_parser() -> _Parser:
                    help="ranking negatives (default random)")
     e.add_argument("--classify", action="store_true",
                    help="data is 'x TAB y TAB 0|1'; report accuracy/F1")
-    e.add_argument("--threshold", type=float, default=None)
+    e.add_argument("--threshold", type=number, default=None)
     e.add_argument("--dev", default=None,
                    help="labeled dev file for threshold selection (--classify)")
 
     s = sub.add_parser("score", help="score sentence pairs with a checkpoint")
-    _add_common(s)
     s.add_argument("--checkpoint", required=True)
-    _add_embedding_source(s)
-    s.add_argument("--vocab-from", default=None,
-                   help="comma-separated pair files for --random-embeddings")
+    s.add_argument("--embeddings", help="word2vec text file (default: CHECKPOINT.embeddings.txt)")
     s.add_argument("--x")
     s.add_argument("--y")
     s.add_argument("--pairs", help="TSV of x TAB y")
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_common(c)
+    c.add_argument("--seed", type=non_negative_int, default=0)
     c.add_argument("--model", default="all", choices=(*MODEL_KINDS, "all"))
     c.add_argument("--eps", type=float, default=1e-5)
 
@@ -143,7 +145,7 @@ def _unread(*arguments):
 
 # (flags, when they would be ignored, why): giving one then is a usage error
 _IGNORED_FLAGS = (
-    (("--embed-dim", "--embed-seed", "--vocab-from"), lambda a: a.embeddings is not None,
+    (("--embed-dim",), lambda a: a.embeddings is not None,
      "goes with --random-embeddings, not --embeddings"),
     (("--threshold", "--dev"), lambda a: not a.classify, "goes with --classify"),
     (("--dev",), lambda a: a.threshold is not None, "picks the threshold; not with --threshold"),
@@ -165,35 +167,15 @@ def _refuse_ignored_flags(args) -> None:
                 raise UsageError(f"{flag} {why.format_map(vars(args))}")
 
 
-def _collect_tokens(paths) -> set:
-    """Every token of every column, labels included."""
-    tokens = set()
-    for path in paths:
-        with open_text(path) as fh:
-            for row in dp.read_rows(fh)[1]:
-                tokens.update(*row)
-    return tokens
-
-
-def _table_from_args(args, vocab_paths, dim):
-    """--embeddings FILE at its own width, or --random-embeddings of width dim."""
-    if not args.random_embeddings:
-        with open_text(args.embeddings) as fh:
-            return load_embeddings(fh)
-    seed = args.embed_seed if args.embed_seed is not None else args.seed
-    tokens = _collect_tokens(vocab_paths)
-    if not tokens:
-        raise DataError("no tokens found to build random embeddings from")
-    return random_embeddings(tokens, dim, make_rng(seed))
-
-
-def _checkpoint_table(args, vocab_default, kv):
-    """Vectors of the checkpoint's width; random ones cover --vocab-from or vocab_default."""
-    vocab_paths = args.vocab_from.split(",") if args.vocab_from else vocab_default
+def _checkpoint_table(args, kv):
+    """--embeddings, or else the table train wrote beside the checkpoint,
+    checked to be of the checkpoint's width."""
+    path = args.embeddings or args.checkpoint + ".embeddings.txt"
+    with open_text(path) as fh:
+        table = load_embeddings(fh)
     dim = int(kv["embed_dim"])
-    table = _table_from_args(args, vocab_paths, dim)
     if table.dim != dim:
-        raise ShapeError(f"--embeddings {args.embeddings} has {table.dim}-dimensional "
+        raise ShapeError(f"--embeddings {path} has {table.dim}-dimensional "
                          f"vectors; the checkpoint's embed_dim is {dim}")
     return table
 
@@ -286,8 +268,15 @@ def cmd_train(args) -> int:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
     with open_text(args.val_file) as fh:
         val_corpus = dp.load_pairs(fh, provenance=args.val_file)
-    dim = 50 if args.embed_dim is None else args.embed_dim
-    table = _table_from_args(args, [args.train_file, args.val_file], dim)
+    if args.embeddings:
+        with open_text(args.embeddings) as fh:
+            table = load_embeddings(fh)
+    else:
+        tokens = {t for x, y in train_corpus.pairs + val_corpus.pairs for t in x + y}
+        if not tokens:
+            raise DataError("no tokens found to build random embeddings from")
+        dim = 50 if args.embed_dim is None else args.embed_dim
+        table = random_embeddings(tokens, dim, make_rng(args.seed))
     model = _build_model(args, table.dim)
 
     token_triples = dp.sample_negatives(train_corpus, args.train_negatives,
@@ -321,7 +310,7 @@ def cmd_eval(args) -> int:
     if args.max_len is not None and "max_len" in kv and int(kv["max_len"]) != args.max_len:
         raise UsageError(f"--max-len {args.max_len} does not match the checkpoint's "
                          f"max_len {kv['max_len']}")
-    table = _checkpoint_table(args, [args.data], kv)
+    table = _checkpoint_table(args, kv)
     max_len = args.max_len if args.max_len is not None else int(kv.get("max_len", 16))
     stats = RunStats()
     if args.classify:
@@ -372,7 +361,7 @@ def cmd_score(args) -> int:
     if not args.pairs and (args.x is None or args.y is None):
         raise UsageError("need --pairs FILE or both --x and --y")
     model, kv = load_checkpoint(args.checkpoint)
-    table = _checkpoint_table(args, [args.pairs] if args.pairs else [], kv)
+    table = _checkpoint_table(args, kv)
     max_len = int(kv.get("max_len", 16))
     stats = RunStats()
     if args.pairs:

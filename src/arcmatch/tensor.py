@@ -116,8 +116,8 @@ def finite_diff_gap(f, theta: np.ndarray, eps: float):
     difference's error. Raises NumericError if f returns a non-finite
     value.
     """
-    if eps <= 0:
-        raise ShapeError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ShapeError(f"eps must be positive and finite, got {eps}")
     theta = np.asarray(theta, dtype=np.float64)
     f0 = float(f(theta))
     if not np.isfinite(f0):

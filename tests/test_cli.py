@@ -427,8 +427,7 @@ def _with_byte(src, dst, offset, byte=b"\xff"):
 def test_checkpoint_header_that_is_not_utf8_is_data_error(tmp_path, capsys):
     fixture = Path(__file__).parent / "fixtures" / "arc2.ckpt"
     damaged = _with_byte(fixture, tmp_path / "arc2.ckpt", 20)
-    code = run(["score", "--checkpoint", str(damaged), "--random-embeddings",
-                "--x", "t0w1 t0w2", "--y", "t0w1"])
+    code = run(["score", "--checkpoint", str(damaged), "--x", "t0w1 t0w2", "--y", "t0w1"])
     assert code == 2
     assert "data error:" in capsys.readouterr().err
 
@@ -448,32 +447,16 @@ def test_embeddings_token_that_is_not_utf8_is_a_parse_error(trained, tmp_path, c
     assert "data error: line 3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vectors", ["--embeddings", "--random-embeddings"])
+@pytest.mark.parametrize("vectors", ["--embeddings", "default"])
 def test_pairs_file_that_is_not_utf8_is_a_parse_error(trained, synth_dir, tmp_path,
                                                       capsys, vectors):
     src = synth_dir / "test.pairs"
     damaged = _with_byte(src, tmp_path / "test.pairs", _nth_line_offset(src, 5))
     table = ([vectors, str(trained) + ".embeddings.txt"] if vectors == "--embeddings"
-             else [vectors])
+             else [])
     code = run(["score", "--checkpoint", str(trained), *table, "--pairs", str(damaged)])
     assert code == 2
     assert "data error: line 5:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["eval", "score"])
-def test_random_embeddings_take_the_checkpoints_width(synth_dir, capsys, command):
-    # the fixture's embed_dim is 3, not train's default --embed-dim of 50
-    ckpt = str(Path(__file__).parent / "fixtures" / "wordembed.ckpt")
-    data = str(synth_dir / "test.pairs")
-    argv = (["eval", "--checkpoint", ckpt, "--data", data] if command == "eval"
-            else ["score", "--checkpoint", ckpt, "--pairs", data])
-    assert run([*argv, "--random-embeddings", "--seed", "4"]) == 0
-    out = capsys.readouterr().out
-    if command == "eval":
-        assert "value=" in out
-    else:
-        with open(data, encoding="utf-8") as fh:
-            assert len(out.splitlines()) == len(load_pairs(fh))
 
 
 @pytest.mark.parametrize("command", ["eval", "score"])
@@ -535,54 +518,68 @@ def test_three_column_file_given_as_pairs_is_a_parse_error(trained, synth_dir, t
     assert out.err == "data error: line 1: pair line has 3 columns, expected 2\n"
 
 
-def test_collect_tokens_keeps_every_column_of_a_labeled_file(synth_dir, tmp_path):
-    from arcmatch.cli import _collect_tokens
-
-    path = _labeled_and_triple_files(synth_dir, tmp_path)["labeled"]
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n  \t \n tail  word\t\tx\t1 \n")  # blank lines, an empty column
-    expected = set(path.read_text(encoding="utf-8").split())  # TAB is whitespace
-    assert {"0", "1", "tail", "x"} <= expected
-    assert _collect_tokens([str(path)]) == expected
-
-
-def test_embeddings_file_and_random_embeddings_are_exclusive(trained, synth_dir, capsys):
-    base = ["score", "--checkpoint", str(trained), "--pairs", str(synth_dir / "test.pairs")]
-    assert run([*base, "--embeddings", str(trained) + ".embeddings.txt",
-                "--random-embeddings"]) == 1
+def test_embeddings_file_and_random_embeddings_are_exclusive(tmp_path, capsys):
+    # train needs exactly one source; the paths are missing, and never read
+    missing = str(tmp_path / "missing")
+    base = ["train", "--model", "wordembed", "--train", missing, "--val", missing,
+            "--out", str(tmp_path / "m.ckpt")]
+    assert run([*base, "--embeddings", missing, "--random-embeddings"]) == 1
     assert "not allowed with argument --embeddings" in capsys.readouterr().err
     assert run(base) == 1
     assert ("one of the arguments --embeddings --random-embeddings is required"
             in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command,flag", [
     ("train", "--embed-dim"), ("train", "--embed-seed"), ("eval", "--embed-seed"),
     ("score", "--embed-seed"), ("eval", "--vocab-from"), ("score", "--vocab-from"),
+    ("eval", "--random-embeddings"), ("score", "--random-embeddings"), ("score", "--seed"),
 ])
 def test_random_only_flag_next_to_embeddings_is_usage_error(tmp_path, capsys, command, flag):
-    # every path is missing: the flags are refused before any input is read
+    # every path is missing: the flags are refused before any input is read.
+    # Of these, only train --embed-dim is an option: eval and score draw no
+    # random vectors, and train draws its own from --seed
     missing = str(tmp_path / "missing")
     argv = {"train": ["train", "--model", "wordembed", "--train", missing, "--val", missing,
                       "--out", str(tmp_path / "m.ckpt")],
             "eval": ["eval", "--checkpoint", missing, "--data", missing],
             "score": ["score", "--checkpoint", missing, "--pairs", missing]}[command]
-    value = "v.pairs" if flag == "--vocab-from" else "5"
-    assert run([*argv, "--embeddings", missing, flag, value]) == 1
-    assert capsys.readouterr().err == (f"usage error: {flag} goes with "
-                                       f"--random-embeddings, not --embeddings\n")
+    value = {"--vocab-from": ["v.pairs"], "--random-embeddings": []}.get(flag, ["5"])
+    assert run([*argv, "--embeddings", missing, flag, *value]) == 1
+    if flag == "--embed-dim":
+        assert capsys.readouterr().err == (f"usage error: {flag} goes with "
+                                           f"--random-embeddings, not --embeddings\n")
+    else:
+        assert capsys.readouterr().err == ("usage error: unrecognized arguments: "
+                                           + " ".join([flag, *value]) + "\n")
     assert not list(tmp_path.iterdir())
 
 
+def _beside(ckpt, tokens, dim, seed):
+    """ckpt's default table, as train would write it: random vectors of tokens."""
+    from arcmatch.embeddings import random_embeddings, write_embeddings
+    from arcmatch.tensor import make_rng
+
+    write_embeddings(random_embeddings(tokens, dim, make_rng(seed)), str(ckpt) + ".embeddings.txt")
+    return str(ckpt)
+
+
+def _tokens(path):
+    with open(path, encoding="utf-8") as fh:
+        return {t for x, y in load_pairs(fh).pairs for t in x + y}
+
+
 def test_closed_stdout_ends_score_without_a_traceback(tmp_path):
-    fixture = Path(__file__).parent / "fixtures" / "wordembed.ckpt"
+    fixture = tmp_path / "wordembed.ckpt"  # embed_dim 3
+    fixture.write_bytes((Path(__file__).parent / "fixtures" / "wordembed.ckpt").read_bytes())
+    _beside(fixture, ["t0w1", "t0w2"], 3, 0)
     pairs = tmp_path / "many.pairs"
     pairs.write_text("t0w1 t0w2\tt0w1\n" * 12000, encoding="utf-8")  # > a 64 KiB pipe
     src = os.path.dirname(os.path.dirname(arcmatch.__file__))
     with open(tmp_path / "stderr.txt", "w+b") as err:
         proc = subprocess.Popen([sys.executable, "-m", "arcmatch.cli", "score",
-                                 "--checkpoint", str(fixture), "--random-embeddings",
-                                 "--pairs", str(pairs)],
+                                 "--checkpoint", str(fixture), "--pairs", str(pairs)],
                                 stdout=subprocess.PIPE, stderr=err,
                                 env={**os.environ, "PYTHONPATH": src})
         float(proc.stdout.readline())
@@ -624,7 +621,7 @@ def test_flag_that_would_be_ignored_is_usage_error(tmp_path, capsys, command, ex
     missing = str(tmp_path / "missing")
     argv = {"eval": ["eval", "--checkpoint", missing, "--data", missing],
             "score": ["score", "--checkpoint", missing, "--pairs", missing]}[command]
-    assert run([*argv, "--random-embeddings", *extra]) == 1
+    assert run([*argv, *extra]) == 1
     assert capsys.readouterr().err == f"usage error: {flag} {why}\n"
     assert not list(tmp_path.iterdir())
 
@@ -634,9 +631,9 @@ def test_flag_that_would_be_ignored_is_usage_error(tmp_path, capsys, command, ex
 def test_max_len_below_one_is_usage_error(tmp_path, capsys, command, max_len):
     missing = str(tmp_path / "missing")
     argv = {"train": ["train", "--model", "wordembed", "--train", missing, "--val", missing,
-                      "--out", str(tmp_path / "m.ckpt"), "--epochs", "0"],
+                      "--out", str(tmp_path / "m.ckpt"), "--epochs", "0", "--random-embeddings"],
             "eval": ["eval", "--checkpoint", missing, "--data", missing]}[command]
-    assert run([*argv, "--random-embeddings", "--max-len", max_len]) == 1
+    assert run([*argv, "--max-len", max_len]) == 1
     assert capsys.readouterr().err == (f"usage error: argument --max-len: "
                                        f"must be >= 1, got {max_len}\n")
     assert not list(tmp_path.iterdir())
@@ -675,8 +672,9 @@ def test_eval_max_len_other_than_the_checkpoints_is_usage_error(tmp_path, synth_
                                                                 kind, max_len):
     # before, arc1 ended in a config error naming neither length, arc2 at 6 in
     # one about a conv window, and arc2 at 12 scored at a length it was not built for
-    ckpt = _checkpoint_at_max_len_10(kind, tmp_path / "m.ckpt")
-    argv = ["eval", "--checkpoint", ckpt, "--random-embeddings", "--seed", "4", "--data"]
+    ckpt = _beside(_checkpoint_at_max_len_10(kind, tmp_path / "m.ckpt"),
+                   _tokens(synth_dir / "test.pairs"), 8, 4)
+    argv = ["eval", "--checkpoint", ckpt, "--seed", "4", "--data"]
     # the data file is missing: the lengths are compared before it is read
     assert run([*argv, str(tmp_path / "missing"), "--max-len", max_len]) == 1
     assert capsys.readouterr().err == (f"usage error: --max-len {max_len} does not match "
@@ -703,7 +701,7 @@ def test_eval_max_len_of_a_wordembed_checkpoint_sets_the_encoding_length(trained
 @pytest.mark.parametrize("flag", [("--negatives", "4"), ("--neg-mode", "random")])
 def test_ranking_flag_next_to_classify_is_usage_error(tmp_path, capsys, flag):
     missing = str(tmp_path / "missing")
-    assert run(["eval", "--checkpoint", missing, "--data", missing, "--random-embeddings",
+    assert run(["eval", "--checkpoint", missing, "--data", missing,
                 "--classify", "--threshold", "0.5", *flag]) == 1
     assert capsys.readouterr().err == f"usage error: {flag[0]} goes with ranking, not --classify\n"
     assert not list(tmp_path.iterdir())
@@ -728,7 +726,7 @@ def test_missing_flag_is_usage_error_before_the_checkpoint_is_read(tmp_path, cap
     # before, the checkpoint was opened first: a missing one exited 2
     missing = str(tmp_path / "missing.ckpt")
     extra = [missing if arg == "DATA" else arg for arg in extra]
-    assert run([command, "--checkpoint", missing, "--random-embeddings", *extra]) == 1
+    assert run([command, "--checkpoint", missing, *extra]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not list(tmp_path.iterdir())
 
@@ -779,8 +777,7 @@ def test_eval_and_score_report_truncation_on_stderr(tmp_path, capsys):
     rows = [(long, "t0w2 t0w3"), ("t0w1", " ".join(["t0w2"] * 11)), ("t0w1 t0w2", "t0w3")]
     (tmp_path / "p.pairs").write_text("".join(f"{x}\t{y}\n" for x, y in rows))
     (tmp_path / "l.tsv").write_text("".join(f"{x}\t{y}\t1\n" for x, y in rows))
-    common = ["--checkpoint", ckpt, "--random-embeddings",
-              "--vocab-from", str(tmp_path / "p.pairs")]
+    common = ["--checkpoint", _beside(ckpt, _tokens(tmp_path / "p.pairs"), 8, 0)]
     note = "note: 2/6 sentences truncated to max_len 10\n"
     assert run(["score", *common, "--pairs", str(tmp_path / "p.pairs")]) == 0
     out = capsys.readouterr()
@@ -923,3 +920,121 @@ def test_model_flags_the_kind_reads_pass_and_default_to_todays_values(synth_dir,
     assert run([*argv, "--out", str(tmp_path / "flags"), *flags]) == 0
     assert run([*argv, "--out", str(tmp_path / "none")]) == 0
     assert (tmp_path / "flags").read_bytes() == (tmp_path / "none").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "train", "eval", "gradcheck"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # every path is missing: the seed is refused before any input is read
+    missing = str(tmp_path / "missing")
+    argv = {"gen-synth": ["gen-synth", "--out", str(tmp_path / "synth")],
+            "train": ["train", "--model", "wordembed", "--train", missing, "--val", missing,
+                      "--out", str(tmp_path / "m.ckpt"), "--random-embeddings"],
+            "eval": ["eval", "--checkpoint", missing, "--data", missing],
+            "gradcheck": ["gradcheck", "--model", "wordembed"]}[command]
+    assert run([*argv, "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "usage error: argument --seed: must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_threshold_is_usage_error_and_infinite_ones_run(trained, synth_dir, tmp_path,
+                                                            capsys):
+    missing = str(tmp_path / "missing")
+    assert run(["eval", "--checkpoint", missing, "--data", missing, "--classify",
+                "--threshold", "nan"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "usage error: argument --threshold: must be a number, got nan\n"
+    assert not list(tmp_path.iterdir())
+    # every score is below inf and above -inf: all pairs predicted 0, then 1
+    _labeled_file(synth_dir, tmp_path / "labeled.tsv")
+    argv = ["eval", "--checkpoint", str(trained), "--data", str(tmp_path / "labeled.tsv"),
+            "--classify"]
+    for threshold in ("inf", "-inf"):
+        assert run([*argv, f"--threshold={threshold}"]) == 0
+        assert f"threshold={float(threshold)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_gradcheck_eps_that_is_not_positive_and_finite_is_config_error(capsys, eps):
+    assert run(["gradcheck", "--model", "arc2", "--eps", eps]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"config error: eps must be positive and finite, got {float(eps)}\n"
+
+
+def test_option_inventory():
+    # every option string but --help; a flag added or dropped edits this list
+    from arcmatch.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {name: [o for a in sub._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+               for name, sub in subparsers.choices.items()}
+    assert options == {
+        "gen-synth": ["--seed", "--out", "--pairs", "--vocab-size", "--topics", "--len-min",
+                      "--len-max", "--split"],
+        "train": ["--seed", "--model", "--train", "--val", "--out", "--embeddings",
+                  "--random-embeddings", "--embed-dim", "--max-len", "--window", "--maps",
+                  "--twod", "--hidden", "--activation", "--tie-weights", "--dropout", "--lr",
+                  "--batch-size", "--epochs", "--patience", "--eval-every", "--neg-mode",
+                  "--train-negatives", "--val-negatives", "--finetune-embeddings", "--quiet"],
+        "eval": ["--seed", "--checkpoint", "--data", "--embeddings", "--max-len", "--negatives",
+                 "--neg-mode", "--classify", "--threshold", "--dev"],
+        "score": ["--checkpoint", "--embeddings", "--x", "--y", "--pairs"],
+        "gradcheck": ["--seed", "--model", "--eps"],
+    }
+    assert sum(map(len, options.values())) == 52
+
+
+@pytest.fixture(scope="module")
+def finetuned(tmp_path_factory, synth_dir):
+    ckpt = tmp_path_factory.mktemp("cli-finetune") / "model.ckpt"
+    assert run(["train", "--model", "wordembed", "--train", str(synth_dir / "train.pairs"),
+                "--val", str(synth_dir / "val.pairs"), "--out", str(ckpt),
+                "--random-embeddings", "--embed-dim", "8", "--max-len", "12",
+                "--train-negatives", "2", "--epochs", "2", "--eval-every", "3",
+                "--batch-size", "16", "--hidden", "8", "--finetune-embeddings",
+                "--seed", "1", "--quiet"]) == 0
+    return ckpt
+
+
+def test_eval_and_score_read_the_table_train_wrote_by_default(finetuned, synth_dir, tmp_path,
+                                                               capsys):
+    _labeled_file(synth_dir, tmp_path / "labeled.tsv")
+    data = str(synth_dir / "test.pairs")
+    for argv in (["eval", "--data", data, "--seed", "3"],
+                 ["eval", "--data", str(tmp_path / "labeled.tsv"), "--classify", "--dev",
+                  str(tmp_path / "labeled.tsv")],
+                 ["score", "--pairs", data]):
+        argv = [*argv, "--checkpoint", str(finetuned)]
+        assert run([*argv, "--embeddings", str(finetuned) + ".embeddings.txt"]) == 0
+        given = capsys.readouterr()
+        assert run(argv) == 0
+        default = capsys.readouterr()
+        assert given.out and (default.out, default.err) == (given.out, given.err)
+
+
+def test_missing_default_table_is_a_data_error_naming_it(trained, synth_dir, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(trained.read_bytes())
+    for argv in (["eval", "--data", str(synth_dir / "test.pairs")],
+                 ["score", "--x", "t0w1 t0w2", "--y", "t0w1"]):
+        assert run([*argv, "--checkpoint", str(ckpt)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("data error: ")
+        assert f"{ckpt}.embeddings.txt" in out.err
+
+
+def test_random_embeddings_cover_the_train_and_val_tokens_drawn_from_seed(synth_dir, tmp_path):
+    from arcmatch.embeddings import random_embeddings, write_embeddings
+    from arcmatch.tensor import make_rng
+
+    argv = _train_args(synth_dir, tmp_path, "--epochs", "0", "--seed", "6")
+    assert run(argv) == 0
+    tokens = _tokens(synth_dir / "train.pairs") | _tokens(synth_dir / "val.pairs")
+    write_embeddings(random_embeddings(tokens, 8, make_rng(6)), str(tmp_path / "expected.txt"))
+    assert ((tmp_path / "m.ckpt.embeddings.txt").read_bytes()
+            == (tmp_path / "expected.txt").read_bytes())

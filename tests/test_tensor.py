@@ -65,6 +65,14 @@ def test_finite_diff_rejects_non_finite():
         finite_diff_gap(lambda t: float("nan"), np.array([1.0]), 1e-4)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_finite_diff_rejects_an_eps_that_is_not_positive_and_finite(eps):
+    calls = []
+    with pytest.raises(ShapeError, match=f"^eps must be positive and finite, got {eps}$"):
+        finite_diff_gap(lambda t: calls.append(t) or 0.0, np.array([1.0]), eps)
+    assert not calls
+
+
 def _kinked(central, gap):
     """gradient_check's rule: a gap beyond rounding means a kink in the stencil."""
     return gap > GRADCHECK_GAP_ABS + GRADCHECK_GAP_REL * np.abs(central)
