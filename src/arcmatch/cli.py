@@ -14,8 +14,8 @@ import sys
 
 from . import data as dp
 from .checkpoint import load_checkpoint, save_checkpoint
-from .embeddings import (RunStats, load_embeddings, open_text, random_embeddings,
-                         tokenize, write_embeddings)
+from .embeddings import (load_embeddings, open_text, random_embeddings, tokenize,
+                         write_embeddings)
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
 from .metrics import classify_eval, rank_report, select_threshold
@@ -45,6 +45,14 @@ def non_negative_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
+
+
+def positive_ints(text: str) -> tuple:
+    """A comma-separated list of widths >= 1; empty text is ()."""
+    values = _ints(text)
+    if any(n < 1 for n in values):
+        raise argparse.ArgumentTypeError(f"widths must be >= 1, got {text}")
+    return values
 
 
 def number(text: str) -> float:
@@ -78,16 +86,16 @@ def build_parser() -> _Parser:
     source = t.add_mutually_exclusive_group(required=True)
     source.add_argument("--embeddings", help="word2vec text file")
     source.add_argument("--random-embeddings", action="store_true", help="drawn from --seed")
-    t.add_argument("--embed-dim", type=int, help="--random-embeddings width (default 50)")
+    t.add_argument("--embed-dim", type=positive_int, help="--random-embeddings width (default 50)")
     t.add_argument("--max-len", type=positive_int, default=16)
     t.add_argument("--window", type=int,
                    help="first conv window (arc1, arc2, senna; default 3)")
-    t.add_argument("--maps", type=_ints,
+    t.add_argument("--maps", type=positive_ints,
                    help="feature maps, e.g. '16,16' (arc1; default 16,16); "
                         "arc2 and senna take the first")
     t.add_argument("--twod", type=_pairs,
                    help="2D conv layers for arc2 as window:maps,... (default 2:16,2:16)")
-    t.add_argument("--hidden", type=_ints, default="64", help="MLP hidden widths, csv")
+    t.add_argument("--hidden", type=positive_ints, default="64", help="MLP hidden widths, csv")
     t.add_argument("--activation", default="relu", choices=("relu", "sigmoid"))
     t.add_argument("--tie-weights", action="store_true", default=None,
                    help="one sentence encoder for x and y (arc1)")
@@ -175,7 +183,8 @@ def _checkpoint_table(args, kv):
         table = load_embeddings(fh)
     dim = int(kv["embed_dim"])
     if table.dim != dim:
-        raise ShapeError(f"--embeddings {path} has {table.dim}-dimensional "
+        named = f"--embeddings {path}" if args.embeddings else path
+        raise ShapeError(f"{named} has {table.dim}-dimensional "
                          f"vectors; the checkpoint's embed_dim is {dim}")
     return table
 
@@ -258,12 +267,14 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.model == "arc1" and args.maps is not None and len(args.maps) != 2:
+        raise UsageError(f"--maps takes 2 counts for --model arc1, got {len(args.maps)}")
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, max_epochs=args.epochs,
                       patience=args.patience, eval_every=args.eval_every,
                       finetune_embeddings=args.finetune_embeddings, seed=args.seed)
     cfg.validate()
     rng = make_rng(args.seed)
-    stats = RunStats()
+    stats = dp.RunStats()
     with open_text(args.train_file) as fh:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
     with open_text(args.val_file) as fh:
@@ -312,7 +323,7 @@ def cmd_eval(args) -> int:
                          f"max_len {kv['max_len']}")
     table = _checkpoint_table(args, kv)
     max_len = args.max_len if args.max_len is not None else int(kv.get("max_len", 16))
-    stats = RunStats()
+    stats = dp.RunStats()
     if args.classify:
         scores, labels = _score_labeled(args.data, model, table, max_len, stats)
         threshold = args.threshold
@@ -363,7 +374,7 @@ def cmd_score(args) -> int:
     model, kv = load_checkpoint(args.checkpoint)
     table = _checkpoint_table(args, kv)
     max_len = int(kv.get("max_len", 16))
-    stats = RunStats()
+    stats = dp.RunStats()
     if args.pairs:
         with open_text(args.pairs) as fh:
             pairs = dp.load_pairs(fh, provenance=args.pairs).pairs

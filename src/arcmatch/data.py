@@ -16,13 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused encode_sentence: perfbench/tracer.py wraps it here, and fails if it is missing
-from .embeddings import (EmbeddingTable, RunStats, encode_block, encode_sentence,
-                         numbered_lines, tokenize)
+from .embeddings import EmbeddingTable, encode_sentence, numbered_lines, tokenize
 from .errors import ConfigError, DataError, ParseError
 
 HARD_NEGATIVE_DRAW_CAP = 1000
 HARD_BAND = (0.7, 0.8)
+
+
+@dataclass
+class RunStats:
+    """Counters surfaced to the user after a run; encode_triples and
+    encode_instances count every sentence occurrence."""
+
+    sentences: int = 0
+    truncated: int = 0
+    hard_negative_fallbacks: int = 0
+    hard_negatives: int = 0
+    shuffle_skipped: int = 0
 
 
 @dataclass
@@ -272,14 +282,12 @@ def make_eval_instances(corpus: PairCorpus, m: int, mode: str,
 
 def _encode_shared(slots, table: EmbeddingTable, max_len: int,
                    stats: RunStats | None) -> list:
-    """encode_sentence of every token list in slots, one EncodedSentence
-    per distinct list.
+    """encode_sentence of every token list in slots, called once per
+    distinct list: equal lists get the same EncodedSentence.
 
-    Equal lists get the same object, and the distinct lists are looked up
-    in the vocabulary together (encode_block). stats counts every slot,
-    truncated ones included (if a slot cannot be encoded, only those
-    before it). Slots are matched by object first (slots holds them, so no
-    id is reused) and by tuple once per object.
+    stats counts every slot, truncated ones included (if a slot cannot be
+    encoded, only those before it). Slots are matched by object first
+    (slots holds them, so no id is reused) and by tuple once per object.
     """
     keys = list(map(id, slots))
     objects = dict(zip(keys, slots))  # in first-occurrence order
@@ -287,13 +295,13 @@ def _encode_shared(slots, table: EmbeddingTable, max_len: int,
     for key, tokens in objects.items():
         index[key] = distinct.setdefault(tuple(tokens), len(distinct))
     counted = slots
-    if max_len < 1 or () in distinct:  # encode_block raises at the first failing slot
+    if max_len < 1 or () in distinct:  # encoding raises at the first failing slot
         counted = slots[:0 if max_len < 1 else next(i for i, t in enumerate(slots) if not t)]
     if stats is not None:
         stats.sentences += len(counted)
         if any(len(tokens) > max_len for tokens in distinct):  # else no slot is
             stats.truncated += sum(len(tokens) > max_len for tokens in counted)
-    sents = encode_block(list(distinct), table, max_len)
+    sents = [encode_sentence(tokens, table, max_len) for tokens in distinct]
     sent_of = {key: sents[i] for key, i in index.items()}
     return list(map(sent_of.__getitem__, keys))
 

@@ -106,17 +106,6 @@ def stack_sentences(sents, table: EmbeddingTable | None = None):
     return stack.reshape(len(sents), max_len, table.dim), (rows, ids)
 
 
-@dataclass
-class RunStats:
-    """Counters surfaced to the user after a run."""
-
-    sentences: int = 0
-    truncated: int = 0
-    hard_negative_fallbacks: int = 0
-    hard_negatives: int = 0
-    shuffle_skipped: int = 0
-
-
 # Split on runs of whitespace; no other normalization. str.split itself,
 # so that data.read_rows maps it over a line's columns at C speed.
 tokenize = str.split
@@ -228,42 +217,18 @@ def random_embeddings(tokens, dim: int, rng: np.random.Generator) -> EmbeddingTa
     return EmbeddingTable(vocab=vocab, dim=dim, vectors=vectors)
 
 
-def _check_encodable(tokens, max_len: int) -> None:
+def encode_sentence(tokens, table: EmbeddingTable, max_len: int) -> EncodedSentence:
+    """The sentence of tokens, padded to max_len, against table.
+
+    Unknown tokens map to <unk>; sentences longer than max_len are
+    truncated (not an error; data.RunStats counts them).
+    """
     if not tokens:
         raise DataError("cannot encode an empty sentence")
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
-
-
-def encode_sentence(tokens, table: EmbeddingTable, max_len: int,
-                    stats: RunStats | None = None) -> EncodedSentence:
-    """The sentence of tokens, padded to max_len, against table.
-
-    Unknown tokens map to <unk>; sentences longer than max_len are
-    truncated (counted in stats, not an error).
-    """
-    _check_encodable(tokens, max_len)
-    if stats is not None:
-        stats.sentences += 1
-    if len(tokens) > max_len:
-        if stats is not None:
-            stats.truncated += 1
-        tokens = tokens[:max_len]
-    ids = table.vocab.indices(tokens)
+    ids = table.vocab.indices(tokens[:max_len])
     return EncodedSentence(ids, len(ids), table, max_len)
-
-
-def encode_block(sentences, table: EmbeddingTable, max_len: int) -> list:
-    """encode_sentence of each token list, counting no stats, with one
-    vocabulary lookup for them all."""
-    for tokens in sentences:
-        _check_encodable(tokens, max_len)
-    sentences = [tokens[:max_len] for tokens in sentences]
-    lengths = list(map(len, sentences))
-    flat = table.vocab.indices(itertools.chain.from_iterable(sentences))
-    ends = itertools.accumulate(lengths)
-    return [EncodedSentence(flat[end - n:end], n, table, max_len)
-            for end, n in zip(ends, lengths)]
 
 
 def write_embeddings(table: EmbeddingTable, path: str) -> None:

@@ -471,6 +471,15 @@ def test_embeddings_file_of_another_width_is_config_error(trained, synth_dir, tm
     assert out.out == ""
     assert out.err == (f"config error: --embeddings {wide} has 5-dimensional vectors; "
                        f"the checkpoint's embed_dim is 8\n")
+    # the default table beside the checkpoint is named by its path alone
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(trained.read_bytes())
+    wide.rename(str(ckpt) + ".embeddings.txt")
+    assert run([*argv, "--checkpoint", str(ckpt)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"config error: {ckpt}.embeddings.txt has 5-dimensional vectors; "
+                       f"the checkpoint's embed_dim is 8\n")
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])
@@ -808,8 +817,8 @@ def _with_unshuffleable_ys(src, path):
 @pytest.mark.parametrize("neg_mode", ["hard", "shuffle"])
 def test_eval_reports_sampling_fallbacks_and_skips_on_stderr(trained, synth_dir, tmp_path,
                                                             capsys, neg_mode):
-    from arcmatch.data import make_eval_instances
-    from arcmatch.embeddings import RunStats, load_embeddings
+    from arcmatch.data import RunStats, make_eval_instances
+    from arcmatch.embeddings import load_embeddings
     from arcmatch.tensor import make_rng
 
     data = _with_unshuffleable_ys(synth_dir / "test.pairs", tmp_path / "p.pairs")
@@ -837,8 +846,7 @@ def test_eval_reports_sampling_fallbacks_and_skips_on_stderr(trained, synth_dir,
 
 
 def test_train_reports_shuffle_skips_on_stderr_and_keeps_stdout(synth_dir, tmp_path, capsys):
-    from arcmatch.data import make_eval_instances, sample_negatives
-    from arcmatch.embeddings import RunStats
+    from arcmatch.data import RunStats, make_eval_instances, sample_negatives
     from arcmatch.tensor import make_rng
 
     argv = _train_args(synth_dir, tmp_path, "--neg-mode", "shuffle", "--epochs", "1",
@@ -862,9 +870,9 @@ def test_train_reports_shuffle_skips_on_stderr_and_keeps_stdout(synth_dir, tmp_p
 
 
 def test_train_reports_truncation_on_stderr_not_stdout(synth_dir, tmp_path, capsys):
-    from arcmatch.data import (encode_instances, encode_triples, make_eval_instances,
-                               sample_negatives)
-    from arcmatch.embeddings import RunStats, random_embeddings
+    from arcmatch.data import (RunStats, encode_instances, encode_triples,
+                               make_eval_instances, sample_negatives)
+    from arcmatch.embeddings import random_embeddings
     from arcmatch.tensor import make_rng
 
     argv = _train_args(synth_dir, tmp_path, "--epochs", "1", "--train-negatives", "2",
@@ -962,6 +970,39 @@ def test_gradcheck_eps_that_is_not_positive_and_finite_is_config_error(capsys, e
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"config error: eps must be positive and finite, got {float(eps)}\n"
+
+
+@pytest.mark.parametrize("model,flag,value,err", [
+    ("wordembed", "--embed-dim", "0", "argument --embed-dim: must be >= 1, got 0"),
+    ("wordembed", "--embed-dim", "-2", "argument --embed-dim: must be >= 1, got -2"),
+    ("wordembed", "--hidden", "0", "argument --hidden: widths must be >= 1, got 0"),
+    ("arc2", "--hidden", "8,-1", "argument --hidden: widths must be >= 1, got 8,-1"),
+    ("arc2", "--maps", "0", "argument --maps: widths must be >= 1, got 0"),
+    ("arc1", "--maps", "16,0", "argument --maps: widths must be >= 1, got 16,0"),
+    ("arc1", "--maps", "16", "--maps takes 2 counts for --model arc1, got 1"),
+    ("arc1", "--maps", "16,16,16", "--maps takes 2 counts for --model arc1, got 3"),
+])
+def test_train_width_below_one_or_arc1_maps_count_is_usage_error(tmp_path, capsys, model,
+                                                                  flag, value, err):
+    # every path is missing: the flag is refused before any input is read
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--model", model, "--train", missing, "--val", missing,
+            "--out", str(tmp_path / "m.ckpt"), "--random-embeddings"]
+    assert run([*argv, flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: {err}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_empty_hidden_builds_a_head_with_no_hidden_layer(synth_dir, tmp_path):
+    from arcmatch.checkpoint import load_checkpoint
+
+    argv = _train_args(synth_dir, tmp_path, "--epochs", "0")
+    argv[argv.index("--hidden") + 1] = ""
+    assert run(argv) == 0
+    model, kv = load_checkpoint(str(tmp_path / "m.ckpt"))
+    assert kv["hidden"] == "" and not model.head.hidden_widths
 
 
 def test_option_inventory():

@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arcmatch.data import (HARD_BAND, PairCorpus, gen_synthetic_corpus, load_pairs,
+from arcmatch.data import (HARD_BAND, PairCorpus, RunStats, gen_synthetic_corpus, load_pairs,
                            make_eval_instances, sample_negatives)
-from arcmatch.embeddings import RunStats, open_text, random_embeddings
+from arcmatch.embeddings import open_text, random_embeddings
 from arcmatch.errors import ConfigError, DataError, ParseError
 from arcmatch.metrics import p_at_1
 from arcmatch.tensor import make_rng

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from arcmatch.embeddings import (RunStats, encode_sentence, load_embeddings,
-                                 random_embeddings, tokenize)
+from arcmatch.data import RunStats, Triple, encode_triples
+from arcmatch.embeddings import encode_sentence, load_embeddings, random_embeddings, tokenize
 from arcmatch.errors import DataError, ParseError
 from arcmatch.tensor import make_rng
 
@@ -72,11 +72,16 @@ def test_encode_oov_maps_to_unk():
 
 def test_encode_truncates_and_counts():
     table = small_table()
-    stats = RunStats()
-    sent = encode_sentence([f"w{i % 9}" for i in range(8)], table, 6, stats)
+    tokens = [f"w{i % 9}" for i in range(8)]
+    sent = encode_sentence(tokens, table, 6)
     assert sent.length == 6
-    assert stats.truncated == 1
-    assert stats.sentences == 1
+    assert sent.ids == table.vocab.indices(tokens[:6])
+    # data.RunStats counts every slot that encode_triples encodes
+    slots = [tokens, tokens[:3], list(tokens)]
+    stats = RunStats()
+    encode_triples([Triple(*slots)], table, 6, stats)
+    assert stats.truncated == sum(len(s) > 6 for s in slots) == 2
+    assert stats.sentences == len(slots)
 
 
 def test_encode_empty_is_error():

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcmatch.data import (RankingInstance, Triple, encode_instances, encode_triples,
+from arcmatch import data
+from arcmatch.data import (RankingInstance, RunStats, Triple, encode_instances, encode_triples,
                            gen_synthetic_corpus, make_eval_instances, sample_negatives)
-from arcmatch.embeddings import EmbeddingTable, RunStats, encode_sentence, random_embeddings
+from arcmatch.embeddings import EmbeddingTable, encode_sentence, random_embeddings
 from arcmatch.errors import DataError
 from arcmatch.models import KINDS, MODEL_KINDS, build_model, param_vector
 from arcmatch.tensor import make_rng
@@ -34,17 +35,17 @@ def _corpus(n_pairs, seed=0):
     return corpus, random_embeddings(tokens, DIM, make_rng(seed + 1))
 
 
-def _side_by_side_triples(token_triples, table, max_len, stats=None):
+def _side_by_side_triples(token_triples, table, max_len):
     """The per-occurrence encoding: one fresh matrix for every slot."""
-    return [Triple(x=encode_sentence(t.x, table, max_len, stats),
-                   y_pos=encode_sentence(t.y_pos, table, max_len, stats),
-                   y_neg=encode_sentence(t.y_neg, table, max_len, stats))
+    return [Triple(x=encode_sentence(t.x, table, max_len),
+                   y_pos=encode_sentence(t.y_pos, table, max_len),
+                   y_neg=encode_sentence(t.y_neg, table, max_len))
             for t in token_triples]
 
 
-def _side_by_side_instances(instances, table, max_len, stats=None):
-    return [RankingInstance(x=encode_sentence(inst.x, table, max_len, stats),
-                            candidates=[encode_sentence(c, table, max_len, stats)
+def _side_by_side_instances(instances, table, max_len):
+    return [RankingInstance(x=encode_sentence(inst.x, table, max_len),
+                            candidates=[encode_sentence(c, table, max_len)
                                         for c in inst.candidates],
                             answer=inst.answer)
             for inst in instances]
@@ -52,6 +53,17 @@ def _side_by_side_instances(instances, table, max_len, stats=None):
 
 def _slots(triples):
     return [s for t in triples for s in (t.x, t.y_pos, t.y_neg)]
+
+
+def _instance_slots(instances):
+    return [s for inst in instances for s in (inst.x, *inst.candidates)]
+
+
+def _per_slot_counts(slots, max_len, stats):
+    """What the per-occurrence encoding counts: every slot, and every slot
+    longer than max_len as truncated."""
+    stats.sentences += len(slots)
+    stats.truncated += sum(len(tokens) > max_len for tokens in slots)
 
 
 def _copy(table):
@@ -101,12 +113,31 @@ def test_run_stats_count_every_occurrence_including_truncated():
     max_len = 9  # lengths 7-12: some sentences are truncated
     shared, per_slot = RunStats(), RunStats()
     encode_triples(token_triples, table, max_len, shared)
-    _side_by_side_triples(token_triples, table, max_len, per_slot)
+    _per_slot_counts(_slots(token_triples), max_len, per_slot)
     encode_instances(instances, table, max_len, shared)
-    _side_by_side_instances(instances, table, max_len, per_slot)
+    _per_slot_counts(_instance_slots(instances), max_len, per_slot)
     assert shared == per_slot
     assert 0 < shared.truncated < shared.sentences
     assert shared.sentences == 3 * len(token_triples) + 6 * len(instances)
+
+
+def test_each_distinct_token_list_is_encoded_by_one_encode_sentence_call(monkeypatch):
+    corpus, table = _corpus(40)
+    token_triples = sample_negatives(corpus, 5, "random", None, make_rng(2))
+    instances = make_eval_instances(corpus, 4, "random", None, make_rng(3))
+    calls = []
+
+    def counted(tokens, table, max_len):
+        calls.append(tuple(tokens))
+        return encode_sentence(tokens, table, max_len)
+
+    monkeypatch.setattr(data, "encode_sentence", counted)
+    for encode, records, slots in ((encode_triples, token_triples, _slots(token_triples)),
+                                   (encode_instances, instances, _instance_slots(instances))):
+        calls.clear()
+        encode(records, table, MAX_LEN)
+        distinct = list(dict.fromkeys(map(tuple, slots)))
+        assert calls == distinct and len(distinct) < len(slots)
 
 
 def test_encoding_checks_still_run():

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from arcmatch.data import (PairCorpus, gen_synthetic_corpus, make_eval_instances,
+from arcmatch.data import (PairCorpus, RunStats, gen_synthetic_corpus, make_eval_instances,
                            sample_negatives)
-from arcmatch.embeddings import RunStats, random_embeddings
+from arcmatch.embeddings import random_embeddings
 from arcmatch.errors import DataError
 from arcmatch.tensor import make_rng
 
