@@ -75,8 +75,6 @@ def build_siamese(config_x: SentenceModelConfig, config_y: SentenceModelConfig,
                   rng, hidden, activation, dropout, tie_weights=False,
                   kind="arc1") -> Arc1Model:
     """Initialize the encoders (x, then y unless tied), then the head."""
-    config_x.validate()
-    config_y.validate()
     if tie_weights and config_x != config_y:
         raise ConfigError("tie_weights requires identical encoder configs")
     params_x = init_sentence_params(config_x, rng)

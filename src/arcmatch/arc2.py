@@ -64,8 +64,8 @@ from .conv_sentence import (ConvLayerTrace, conv_backward, conv_pre, conv_pre_ba
 from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
 from .mlp import MlpHead, build_head, head_backward, head_forward
-from .tensor import (activate, activate_grad_from_output, init_uniform,
-                     named_layers, split_by, sum_to_shape)
+from .tensor import (activate, activate_grad_from_output, init_layers, named_layers,
+                     split_by, sum_to_shape)
 
 
 @dataclass
@@ -80,16 +80,14 @@ class Arc2Config:
     def validate(self) -> None:
         if self.window1 < 1:
             raise ConfigError(f"window1 must be >= 1, got {self.window1}")
-        if self.maps1 < 1:
-            raise ConfigError(f"maps1 must be >= 1, got {self.maps1}")
         n = self.max_len - self.window1 + 1
         if n < 2:
             raise ConfigError(
                 f"grid side {n} < 2: max_len {self.max_len} too small for window {self.window1}"
             )
-        for li, (k, f) in enumerate(self.twod_layers):
-            if k < 2 or f < 1:
-                raise ConfigError(f"2D layer {li}: window {k} / maps {f} invalid")
+        for li, (k, _) in enumerate(self.twod_layers):
+            if k < 2:
+                raise ConfigError(f"2D layer {li}: window {k} must be >= 2")
         self.grid_plan()
 
     def grid_plan(self) -> list:
@@ -347,16 +345,10 @@ def build_arc2(embed_dim: int, max_len: int, rng,
                         maps1=maps1, twod_layers=tuple(tuple(t) for t in twod_layers),
                         activation=activation)
     config.validate()
-    w1 = init_uniform((maps1, 2 * window1 * embed_dim), 2 * window1 * embed_dim,
-                      maps1, rng)
-    b1 = np.zeros(maps1, dtype=np.float64)
-    twod = []
-    f_prev = maps1
-    for k, f in config.twod_layers:
-        fan_in = k * k * f_prev
-        twod.append((init_uniform((f, fan_in), fan_in, f, rng),
-                     np.zeros(f, dtype=np.float64)))
-        f_prev = f
+    maps = (maps1, *(f for _, f in config.twod_layers))
+    fan_ins = (2 * window1 * embed_dim,
+               *(k * k * f for (k, _), f in zip(config.twod_layers, maps)))
+    (w1, b1), *twod = init_layers("conv", fan_ins, maps, rng)
     params = Arc2Params(w1=w1, b1=b1, twod=twod)
     head = build_head(config.output_len, hidden, rng, activation=activation,
                       dropout=dropout)

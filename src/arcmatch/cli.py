@@ -19,7 +19,7 @@ from .embeddings import (load_embeddings, open_text, random_embeddings, tokenize
 from .errors import (ArcMatchError, CheckpointError, ConfigError, DataError,
                      NumericError, ParseError, ShapeError)
 from .metrics import classify_eval, rank_report, select_threshold
-from .models import KINDS, MODEL_KINDS, _ints, _pairs, build_model, builder_args
+from .models import MODEL_KINDS, _ints, _pairs, build_model, builder_args
 from .tensor import make_rng
 from .training import TrainConfig, gradient_check, score_instances, train
 
@@ -55,6 +55,14 @@ def positive_ints(text: str) -> tuple:
     return values
 
 
+def positive_pairs(text: str) -> tuple:
+    """window:maps pairs, comma-separated, each count >= 1; empty text is ()."""
+    pairs = _pairs(text)
+    if any(n < 1 for pair in pairs for n in pair):
+        raise argparse.ArgumentTypeError(f"windows and maps must be >= 1, got {text}")
+    return pairs
+
+
 def number(text: str) -> float:
     """A float that is not NaN; +-inf pass."""
     x = float(text)
@@ -88,12 +96,12 @@ def build_parser() -> _Parser:
     source.add_argument("--random-embeddings", action="store_true", help="drawn from --seed")
     t.add_argument("--embed-dim", type=positive_int, help="--random-embeddings width (default 50)")
     t.add_argument("--max-len", type=positive_int, default=16)
-    t.add_argument("--window", type=int,
+    t.add_argument("--window", type=positive_int,
                    help="first conv window (arc1, arc2, senna; default 3)")
     t.add_argument("--maps", type=positive_ints,
-                   help="feature maps, e.g. '16,16' (arc1; default 16,16); "
-                        "arc2 and senna take the first")
-    t.add_argument("--twod", type=_pairs,
+                   help="feature maps: two for arc1 (default 16,16), one for arc2 and "
+                        "senna (default 16)")
+    t.add_argument("--twod", type=positive_pairs,
                    help="2D conv layers for arc2 as window:maps,... (default 2:16,2:16)")
     t.add_argument("--hidden", type=positive_ints, default="64", help="MLP hidden widths, csv")
     t.add_argument("--activation", default="relu", choices=("relu", "sigmoid"))
@@ -137,7 +145,6 @@ def build_parser() -> _Parser:
     c = sub.add_parser("gradcheck", help="finite-difference gradient check")
     c.add_argument("--seed", type=non_negative_int, default=0)
     c.add_argument("--model", default="all", choices=(*MODEL_KINDS, "all"))
-    c.add_argument("--eps", type=float, default=1e-5)
 
     return parser
 
@@ -193,7 +200,7 @@ def _build_model(args, embed_dim):
     """The model the flags describe; each kind reads the builder arguments
     it takes (see models.KINDS)."""
     window = 3 if args.window is None else args.window
-    maps = args.maps or (16, 16)
+    maps = (16, 16) if args.maps is None else args.maps
     twod = ((2, 16), (2, 16)) if args.twod is None else args.twod
     flags = dict(embed_dim=embed_dim, max_len=args.max_len,
                  windows=(window, 2), feature_maps=maps,
@@ -203,15 +210,12 @@ def _build_model(args, embed_dim):
     return build_model(args.model, flags, make_rng(args.seed))
 
 
-def _score_pairs(model, table, max_len, stats, pairs):
-    """Scores of (x, y) token pairs, yielded as each group of them is
-    encoded and scored; one group is as many pairs as score_instances
-    stacks in one call, so no file-sized set of matrices is held."""
-    group = 2 * KINDS[model.kind].chunk
-    for start in range(0, len(pairs), group):
-        instances = [dp.RankingInstance(x, [y], 0) for x, y in pairs[start : start + group]]
-        yield from score_instances(model, dp.encode_instances(instances, table, max_len,
-                                                              stats))[:, 0].tolist()
+def _score_pairs(model, table, max_len, stats, pairs) -> list:
+    """Scores of (x, y) token pairs."""
+    instances = [dp.RankingInstance(x, [y], 0) for x, y in pairs]
+    # one candidate per instance: [N, 1], or [0, 0] for no pairs
+    return score_instances(model, dp.encode_instances(instances, table, max_len,
+                                                      stats)).ravel().tolist()
 
 
 def _note_truncated(stats, length) -> None:
@@ -267,28 +271,32 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.model == "arc1" and args.maps is not None and len(args.maps) != 2:
-        raise UsageError(f"--maps takes 2 counts for --model arc1, got {len(args.maps)}")
+    count = {"arc1": 2, "arc2": 1, "senna": 1}.get(args.model)  # --maps counts read
+    if args.maps is not None and len(args.maps) != count:
+        raise UsageError(f"--maps takes {count} count{'s' if count > 1 else ''} for --model "
+                         f"{args.model}, got {len(args.maps)}")
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, max_epochs=args.epochs,
                       patience=args.patience, eval_every=args.eval_every,
                       finetune_embeddings=args.finetune_embeddings, seed=args.seed)
     cfg.validate()
+    table = None
+    if args.embeddings:
+        with open_text(args.embeddings) as fh:
+            table = load_embeddings(fh)
+    dim = table.dim if table is not None else args.embed_dim or 50
+    # the model draws from a generator of its own: built before the corpora are read
+    model = _build_model(args, dim)
     rng = make_rng(args.seed)
     stats = dp.RunStats()
     with open_text(args.train_file) as fh:
         train_corpus = dp.load_pairs(fh, provenance=args.train_file)
     with open_text(args.val_file) as fh:
         val_corpus = dp.load_pairs(fh, provenance=args.val_file)
-    if args.embeddings:
-        with open_text(args.embeddings) as fh:
-            table = load_embeddings(fh)
-    else:
+    if table is None:
         tokens = {t for x, y in train_corpus.pairs + val_corpus.pairs for t in x + y}
         if not tokens:
             raise DataError("no tokens found to build random embeddings from")
-        dim = 50 if args.embed_dim is None else args.embed_dim
         table = random_embeddings(tokens, dim, make_rng(args.seed))
-    model = _build_model(args, table.dim)
 
     token_triples = dp.sample_negatives(train_corpus, args.train_negatives,
                                         args.neg_mode, table, rng, stats)
@@ -365,7 +373,7 @@ def _score_labeled(path, model, table, max_len, stats):
     if not rows:
         raise DataError(f"no labeled pairs in {path}")
     scores = _score_pairs(model, table, max_len, stats, [(x, y) for x, y, _ in rows])
-    return list(scores), [int(label[0]) for _, _, label in rows]
+    return scores, [int(label[0]) for _, _, label in rows]
 
 
 def cmd_score(args) -> int:
@@ -395,7 +403,7 @@ def cmd_gradcheck(args) -> int:
     kinds = MODEL_KINDS if args.model == "all" else (args.model,)
     worst = 0.0
     for kind in kinds:
-        err = gradient_check(kind, seed=args.seed, eps=args.eps)
+        err = gradient_check(kind, seed=args.seed)
         worst = max(worst, err)
         verdict = "PASS" if err < 1e-4 else "FAIL"
         print(f"{kind:10s} {verdict} max_rel_err={err:.3e} (threshold 1e-04)")

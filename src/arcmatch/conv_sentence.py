@@ -30,7 +30,7 @@ import numpy as np
 
 from .embeddings import sentence_matrix
 from .errors import ConfigError, ShapeError
-from .tensor import activate, activate_grad_from_output, init_uniform, split_by
+from .tensor import activate, activate_grad_from_output, init_layers, split_by
 
 
 def layer_extents(length: int, windows, global_pool: bool = False) -> list:
@@ -71,8 +71,6 @@ class SentenceModelConfig:
             raise ConfigError("max_len may be left open only for summed word rows")
         if any(k < 2 for k in self.windows):
             raise ConfigError(f"every window must be >= 2, got {self.windows}")
-        if any(f < 1 for f in self.feature_maps):
-            raise ConfigError(f"every feature-map count must be >= 1, got {self.feature_maps}")
         if self.global_pool and self.depth != 1:
             raise ConfigError("global_pool mode requires exactly one conv layer")
         self.layer_plan()
@@ -116,15 +114,9 @@ class LayerTrace:
 def init_sentence_params(config: SentenceModelConfig,
                          rng: np.random.Generator) -> SentenceModelParams:
     config.validate()
-    layers = []
-    f_prev = config.embed_dim
-    for k, f in zip(config.windows, config.feature_maps):
-        fan_in = k * f_prev
-        w = init_uniform((f, fan_in), fan_in, f, rng)
-        b = np.zeros(f, dtype=np.float64)
-        layers.append((w, b))
-        f_prev = f
-    return SentenceModelParams(layers=layers)
+    maps = config.feature_maps
+    fan_ins = [k * f for k, f in zip(config.windows, (config.embed_dim, *maps))]
+    return SentenceModelParams(layers=init_layers("conv", fan_ins, maps, rng))
 
 
 # The index helpers below are cached per axis or layer shape, of which a
@@ -171,11 +163,9 @@ def conv_pre(z: np.ndarray, w: np.ndarray, b, k: int, nd: int = 1):
             f"over {z.shape[-1]} input features"
         )
     seg = np.concatenate([z[idx] for idx in _windows(n_in, k)], axis=-1)
-    if nd == 1:  # a sentence's windows are already one matrix per item
-        pre = seg @ w.T
-    else:        # one product per grid, over all its locations
-        per_item = seg.reshape(seg.shape[:-1 - nd] + (-1, seg.shape[-1]))
-        pre = (per_item @ w.T).reshape(seg.shape[:-1] + (-1,))
+    # one product per item, over all its locations
+    per_item = seg.reshape(seg.shape[:-1 - nd] + (-1, seg.shape[-1]))
+    pre = (per_item @ w.T).reshape(seg.shape[:-1] + (-1,))
     return pre if b is None else pre + b, seg.any(axis=-1), seg
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import activate, activate_grad_from_output, init_uniform
+from .tensor import ACTIVATIONS, activate, activate_grad_from_output, init_layers
 
 
 @dataclass
@@ -38,16 +38,13 @@ class HeadTrace:
 
 def build_head(input_width: int, hidden_widths, rng, activation="relu",
                dropout=0.0) -> MlpHead:
-    if input_width < 1:
-        raise ConfigError(f"head input width must be >= 1, got {input_width}")
     if not 0.0 <= dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
-    widths = [input_width, *hidden_widths, 1]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(init_uniform((fan_out, fan_in), fan_in, fan_out, rng))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MlpHead(weights=weights, biases=biases, activation=activation, dropout=dropout)
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
+    layers = init_layers("head", (input_width, *hidden_widths), (*hidden_widths, 1), rng)
+    return MlpHead(weights=[w for w, _ in layers], biases=[b for _, b in layers],
+                   activation=activation, dropout=dropout)
 
 
 def draw_dropout_masks(head: MlpHead, rng: np.random.Generator):

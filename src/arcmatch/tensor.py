@@ -103,6 +103,19 @@ def init_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> 
     return rng.uniform(-r, r, size=shape)
 
 
+def init_layers(name: str, fan_ins, widths, rng: np.random.Generator) -> list:
+    """[(w [width, fan_in] from init_uniform, zero bias [width])] per layer,
+    drawn in layer order: the initial parameters of every layer stack.
+    Raises ConfigError naming the first layer whose fan-in or width is
+    below 1."""
+    for i, (fan_in, width) in enumerate(zip(fan_ins, widths, strict=True)):
+        if fan_in < 1 or width < 1:
+            raise ConfigError(f"{name} layer {i}: fan-in {fan_in} and width {width} "
+                              f"must be >= 1")
+    return [(init_uniform((width, fan_in), fan_in, width, rng), np.zeros(width))
+            for fan_in, width in zip(fan_ins, widths)]
+
+
 def finite_diff_gap(f, theta: np.ndarray, eps: float):
     """(central differences, |forward - backward difference|) per coordinate
     of a scalar function f of a flat vector.

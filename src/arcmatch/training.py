@@ -283,14 +283,15 @@ def _random_sentence(table, max_len, rng):
 
 
 GRADCHECK_DIM, GRADCHECK_LEN = 3, 8  # gradient_check's word vector width, sentence length
+GRADCHECK_EPS = 1e-5  # gradient_check's finite-difference step
 # Forward and backward differences further apart than ABS + REL * |central|
 # straddle a kink. Over 5 kinds x seeds 0-39 x attempts 0-2, the 474 draws
-# at least 50*eps from every kink had gaps of at most 2.7e-10, and the
-# smallest gap above this tolerance was 0.57.
+# at least 50 * GRADCHECK_EPS from every kink had gaps of at most 2.7e-10,
+# and the smallest gap above this tolerance was 0.57.
 GRADCHECK_GAP_ABS, GRADCHECK_GAP_REL = 1e-9, 1e-7
 
 
-def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5) -> float:
+def gradient_check(model_kind: str, seed: int = 0) -> float:
     """Compare analytic gradients against central differences.
 
     Builds a small random model and one random triple, forms the hinge
@@ -299,9 +300,9 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5) -> float:
 
     Every kind's tiny model (KINDS[kind].gradcheck) uses relu, so along
     each parameter the loss is piecewise linear: relu, max-pooling and the
-    hinge only bend it at kinks. A kink inside a coordinate's +-eps stencil
-    shows as forward and backward differences that disagree beyond
-    rounding (tensor.finite_diff_gap); a draw with any such coordinate,
+    hinge only bend it at kinks. A kink inside a coordinate's
+    +-GRADCHECK_EPS stencil shows as forward and backward differences that
+    disagree beyond rounding (tensor.finite_diff_gap); a draw with any such coordinate,
     gap > GRADCHECK_GAP_ABS + GRADCHECK_GAP_REL * |central|, is redrawn.
     """
     if model_kind not in KINDS:
@@ -329,13 +330,13 @@ def gradient_check(model_kind: str, seed: int = 0, eps: float = 1e-5) -> float:
             sn = model.score(sx, sy_neg)[0]
             return hinge_loss(sp, sn)
 
-        numeric, gap = finite_diff_gap(loss_at, theta0, eps)
+        numeric, gap = finite_diff_gap(loss_at, theta0, GRADCHECK_EPS)
         set_param_vector(model, theta0)
         if np.any(gap > GRADCHECK_GAP_ABS + GRADCHECK_GAP_REL * np.abs(numeric)):
             continue  # a kink inside some coordinate's stencil
         # Coordinates where both gradients sit below 1e-8 are "both zero":
         # central differences of an exactly-flat direction still carry
-        # ~ulp(loss)/(2*eps) of rounding noise, which the relative formula
+        # ~ulp(loss)/(2*GRADCHECK_EPS) of rounding noise, which the relative formula
         # would misread. They must agree absolutely instead.
         live = (np.abs(analytic) + np.abs(numeric)) >= 1e-8
         if np.any(~live) and float(np.abs(analytic - numeric)[~live].max()) > 1e-8:

@@ -91,8 +91,7 @@ def test_criterion_1_gradient_correctness():
     t0 = time.time()
     worst = {}
     for kind in MODEL_KINDS:
-        worst[kind] = max(gradient_check(kind, seed=s, eps=1e-5)
-                          for s in range(10))
+        worst[kind] = max(gradient_check(kind, seed=s) for s in range(10))
         assert worst[kind] < 1e-4, (kind, worst[kind])
     elapsed = time.time() - t0
     assert elapsed < 120.0

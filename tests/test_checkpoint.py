@@ -115,6 +115,25 @@ def test_arc1_header_with_an_empty_stack_is_rejected(tmp_path, keys):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("line", [b"embed_dim=0", b"hidden=0", b"hidden=-3",
+                                  b"activation=tanh", b"activation="])
+@pytest.mark.parametrize("name", sorted(_builders()))
+def test_header_with_a_width_below_one_or_an_unknown_activation_is_shape_error(
+        tmp_path, name, line):
+    # the header is not checksummed, so the edit reaches the model builder
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, _builders()[name](make_rng(4)))
+    lines = path.read_bytes().split(b"\n")
+    key = line.split(b"=")[0] + b"="
+    at = next(i for i, text in enumerate(lines) if text.startswith(key))
+    lines[at] = line
+    path.write_bytes(b"\n".join(lines))
+    kind = name.split("_")[0]
+    with pytest.raises(CheckpointShapeError, match=f"^config describes an invalid {kind} "
+                                                   f"model: "):
+        load_checkpoint(path)
+
+
 def test_round_trip_preserves_p_at_1(tmp_path):
     from arcmatch.data import (encode_instances, gen_synthetic_corpus,
                                make_eval_instances)

@@ -132,7 +132,7 @@ def test_score_single_pair_deterministic(trained, capsys):
     assert len(first.strip().split(".")[-1]) == 6
 
 
-def test_score_batch_tsv_line_count(trained, synth_dir, capsys):
+def test_score_batch_tsv_line_count(trained, synth_dir, tmp_path, capsys):
     assert run(["score", "--checkpoint", str(trained),
                 "--embeddings", str(trained) + ".embeddings.txt",
                 "--pairs", str(synth_dir / "test.pairs")]) == 0
@@ -140,6 +140,12 @@ def test_score_batch_tsv_line_count(trained, synth_dir, capsys):
     with open(synth_dir / "test.pairs", encoding="utf-8") as fh:
         n = len(load_pairs(fh))
     assert len(out) == n
+    # a file of no pairs prints no scores
+    (tmp_path / "empty.pairs").write_text(" \n")
+    assert run(["score", "--checkpoint", str(trained),
+                "--embeddings", str(trained) + ".embeddings.txt",
+                "--pairs", str(tmp_path / "empty.pairs")]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_score_oov_only_sentence_still_scores(trained, capsys):
@@ -964,14 +970,6 @@ def test_nan_threshold_is_usage_error_and_infinite_ones_run(trained, synth_dir, 
         assert f"threshold={float(threshold)}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
-def test_gradcheck_eps_that_is_not_positive_and_finite_is_config_error(capsys, eps):
-    assert run(["gradcheck", "--model", "arc2", "--eps", eps]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"config error: eps must be positive and finite, got {float(eps)}\n"
-
-
 @pytest.mark.parametrize("model,flag,value,err", [
     ("wordembed", "--embed-dim", "0", "argument --embed-dim: must be >= 1, got 0"),
     ("wordembed", "--embed-dim", "-2", "argument --embed-dim: must be >= 1, got -2"),
@@ -981,6 +979,14 @@ def test_gradcheck_eps_that_is_not_positive_and_finite_is_config_error(capsys, e
     ("arc1", "--maps", "16,0", "argument --maps: widths must be >= 1, got 16,0"),
     ("arc1", "--maps", "16", "--maps takes 2 counts for --model arc1, got 1"),
     ("arc1", "--maps", "16,16,16", "--maps takes 2 counts for --model arc1, got 3"),
+    ("arc1", "--maps", "", "--maps takes 2 counts for --model arc1, got 0"),
+    ("arc2", "--maps", "4,99", "--maps takes 1 count for --model arc2, got 2"),
+    ("arc2", "--maps", "", "--maps takes 1 count for --model arc2, got 0"),
+    ("senna", "--maps", "4,4", "--maps takes 1 count for --model senna, got 2"),
+    ("arc2", "--window", "0", "argument --window: must be >= 1, got 0"),
+    ("arc2", "--twod", "2:0", "argument --twod: windows and maps must be >= 1, got 2:0"),
+    ("arc2", "--twod", "2:4,0:4",
+     "argument --twod: windows and maps must be >= 1, got 2:4,0:4"),
 ])
 def test_train_width_below_one_or_arc1_maps_count_is_usage_error(tmp_path, capsys, model,
                                                                   flag, value, err):
@@ -993,6 +999,41 @@ def test_train_width_below_one_or_arc1_maps_count_is_usage_error(tmp_path, capsy
     assert out.out == ""
     assert out.err == f"usage error: {err}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("model,flag,value,err", [
+    ("arc1", "--window", "1", "every window must be >= 2, got (1, 2)"),
+    ("senna", "--window", "1", "every window must be >= 2, got (1,)"),
+    ("arc2", "--twod", "1:4", "2D layer 0: window 1 must be >= 2"),
+    ("wordembed", "--dropout", "1.5", "dropout must be in [0, 1), got 1.5"),
+])
+def test_train_flag_only_the_builder_refuses_is_config_error_before_any_input_is_read(
+        tmp_path, capsys, model, flag, value, err):
+    # train builds its model before it reads --train and --val
+    missing = str(tmp_path / "missing")
+    argv = ["train", "--model", model, "--train", missing, "--val", missing,
+            "--out", str(tmp_path / "m.ckpt"), "--random-embeddings"]
+    assert run([*argv, flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"config error: {err}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line", [b"embed_dim=0", b"hidden=0", b"hidden=-3",
+                                  b"activation=tanh"])
+def test_checkpoint_header_with_a_width_below_one_or_an_unknown_activation_is_data_error(
+        trained, tmp_path, capsys, line):
+    lines = trained.read_bytes().split(b"\n")
+    key = line.split(b"=")[0] + b"="
+    lines[next(i for i, text in enumerate(lines) if text.startswith(key))] = line
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(b"\n".join(lines))
+    assert run(["score", "--checkpoint", str(damaged), "--embeddings",
+                str(trained) + ".embeddings.txt", "--x", "t0w1 t0w2", "--y", "t0w1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("data error: config describes an invalid wordembed model: ")
 
 
 def test_empty_hidden_builds_a_head_with_no_hidden_layer(synth_dir, tmp_path):
@@ -1024,9 +1065,9 @@ def test_option_inventory():
         "eval": ["--seed", "--checkpoint", "--data", "--embeddings", "--max-len", "--negatives",
                  "--neg-mode", "--classify", "--threshold", "--dev"],
         "score": ["--checkpoint", "--embeddings", "--x", "--y", "--pairs"],
-        "gradcheck": ["--seed", "--model", "--eps"],
+        "gradcheck": ["--seed", "--model"],
     }
-    assert sum(map(len, options.values())) == 52
+    assert sum(map(len, options.values())) == 51
 
 
 @pytest.fixture(scope="module")
